@@ -374,6 +374,7 @@ def calibration(
         raise ConfigError("calibration requires a survival model")
     labels = as_survival_labels(labels)
     preds = ens.predict(table)  # (n, K)
+    base = _metadata(ens)
     out = []
     for t_idx in _time_indices(ens, eval_times):
         t = float(ens.eval_times[t_idx])
@@ -382,7 +383,7 @@ def calibration(
             CalibrationExport(
                 eval_time=t,
                 bins=bins,
-                metadata=_metadata(ens, eval_time=t, n_bins=n_bins),
+                metadata=dict(base, eval_time=t, n_bins=n_bins),
             )
         )
     return out

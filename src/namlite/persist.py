@@ -3,7 +3,8 @@
 Arrays are stored row-major as nested lists at their true (unpadded)
 sizes; floats survive the repr round-trip exactly, so save -> load ->
 save reproduces identical bytes. Smoothing operators are rebuilt from the
-config on load rather than stored.
+config on load rather than stored. Loading checks keys, shapes and
+finiteness and raises DataError on any model it cannot use.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import json
 
 import numpy as np
 
-from .core import FeatureStack, ModelCore, PairStack, smoothing_operator
+from .core import ACTIVATIONS, FeatureStack, ModelCore, PairStack, smoothing_operator
 from .data import BinMap, FeatureSchema
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .train import EnsembleModel, SingleSplitModel, TrainConfig
 
 __all__ = [
@@ -32,13 +33,12 @@ __all__ = [
 FORMAT_VERSION = "1.0"
 
 
-def _weights_out(weights) -> list:
-    return [[W.tolist(), b.tolist()] for W, b in weights]
+def _weights_doc(weights) -> list:
+    return [[W, b] for W, b in weights]
 
 
-def _core_out(core: ModelCore) -> dict:
+def _core_doc(core: ModelCore) -> dict:
     feats = core.feats
-    emb = [feats.emb[j, : int(n) + 1].tolist() for j, n in enumerate(feats.n_bins)]
     out = {
         "gamma": core.gamma,
         "pair_gamma": core.pair_gamma,
@@ -46,43 +46,48 @@ def _core_out(core: ModelCore) -> dict:
         "activation": core.activation,
         "link": core.link,
         "feats": {
-            "emb": emb,
-            "weights": _weights_out(feats.weights),
-            "mu": feats.mu.tolist(),
-            "active": feats.active.astype(int).tolist(),
-            "mono_dir": feats.mono_dir.tolist(),
-            "mono_off": feats.mono_off.tolist(),
+            "emb": [feats.emb[j, : int(n) + 1] for j, n in enumerate(feats.n_bins)],
+            "weights": _weights_doc(feats.weights),
+            "mu": feats.mu,
+            "active": feats.active.astype(int),
+            "mono_dir": feats.mono_dir,
+            "mono_off": feats.mono_off,
         },
         "pairs": None,
     }
     if core.pairs is not None and core.pairs.n_pairs > 0:
         pairs = core.pairs
         nb = core.feats.n_bins
-        pemb = [
-            pairs.emb[q, : int(nb[a]) + 1, : int(nb[b]) + 1].tolist()
-            for q, (a, b) in enumerate(pairs.pairs)
-        ]
         out["pairs"] = {
             "index": [[int(a), int(b)] for a, b in pairs.pairs],
-            "emb": pemb,
-            "weights": _weights_out(pairs.weights),
-            "mu": pairs.mu.tolist(),
-            "active": pairs.active.astype(int).tolist(),
+            "emb": [
+                pairs.emb[q, : int(nb[a]) + 1, : int(nb[b]) + 1]
+                for q, (a, b) in enumerate(pairs.pairs)
+            ],
+            "weights": _weights_doc(pairs.weights),
+            "mu": pairs.mu,
+            "active": pairs.active.astype(int),
         }
     return out
 
 
-def _split_out(sp: SingleSplitModel) -> dict:
+def _split_doc(sp: SingleSplitModel) -> dict:
     return {
-        "beta0": sp.beta0.tolist(),
-        "c_feat": sp.c_feat.tolist(),
-        "c_pair": sp.c_pair.tolist(),
+        "beta0": sp.beta0,
+        "c_feat": sp.c_feat,
+        "c_pair": sp.c_pair,
         "val_loss": float(sp.val_loss),
-        "core": _core_out(sp.core),
+        "core": _core_doc(sp.core),
     }
 
 
-def model_to_dict(ens: EnsembleModel) -> dict:
+def _model_doc(ens: EnsembleModel) -> dict:
+    """The saved document with parameter arrays still as ndarrays.
+
+    Arrays are taken at their true (unpadded) sizes. ``_tolist`` turns the
+    result into the JSON tree; ``_content_key`` digests it without
+    serializing.
+    """
     return {
         "format_version": FORMAT_VERSION,
         "task": ens.task,
@@ -91,72 +96,187 @@ def model_to_dict(ens: EnsembleModel) -> dict:
         "schema": [fs.to_dict() for fs in ens.schema],
         "bin_maps": [bm.to_dict() for bm in ens.bin_maps],
         "selected_pairs": [[a, b] for a, b in ens.selected_pairs],
-        "eval_times": None if ens.eval_times is None else ens.eval_times.tolist(),
-        "splits": [_split_out(sp) for sp in ens.splits],
+        "eval_times": ens.eval_times,
+        "splits": [_split_doc(sp) for sp in ens.splits],
     }
 
 
-def _weights_in(raw: list) -> list:
-    return [
-        (np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64))
-        for W, b in raw
-    ]
+def _tolist(node):
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {k: _tolist(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_tolist(v) for v in node]
+    return node
 
 
-def _core_in(d: dict, n_bins: np.ndarray, cfg: TrainConfig) -> ModelCore:
-    M = int(n_bins.max()) + 1
-    f = d["feats"]
+def _content_key(doc) -> bytes:
+    """Digest of a model document that changes whenever its JSON would.
+
+    Each array contributes its dtype, shape and raw bytes, which fix its
+    ``tolist`` text. Each subtree without arrays contributes its JSON text,
+    which never holds a NUL byte, so NUL ends it. Type tags and brackets
+    keep distinct documents from producing the same stream.
+    """
+    h = hashlib.blake2b(digest_size=32)
+
+    def walk(node):
+        if isinstance(node, np.ndarray):
+            a = np.ascontiguousarray(node)
+            h.update(f"a{a.dtype.str}{a.shape}".encode())
+            h.update(a)
+            return
+        try:
+            text = json.dumps(node)
+        except TypeError:  # an array inside: descend
+            pass
+        else:
+            h.update(b"j" + text.encode() + b"\0")
+            return
+        if isinstance(node, dict):
+            h.update(b"{")
+            for k, v in node.items():
+                h.update(json.dumps(k).encode() + b":")
+                walk(v)
+            h.update(b"}")
+        else:
+            h.update(b"[")
+            for v in node:
+                walk(v)
+            h.update(b"]")
+
+    walk(doc)
+    return h.digest()
+
+
+def model_to_dict(ens: EnsembleModel) -> dict:
+    return _tolist(_model_doc(ens))
+
+
+def _check(ok, what: str) -> None:
+    if not ok:
+        raise DataError(f"invalid model: {what}")
+
+
+def _floats_in(raw, shape: tuple, what: str) -> np.ndarray:
+    a = np.asarray(raw, dtype=np.float64)
+    _check(a.shape == shape, f"{what} has shape {a.shape}, expected {shape}")
+    _check(np.isfinite(a).all(), f"{what} is not finite")
+    return a
+
+
+def _weights_in(raw: list, n: int, d_in: int, out_dim: int, what: str) -> list:
+    """Layer weights, checked to chain from ``d_in`` inputs to ``out_dim``."""
+    weights = []
+    width = d_in
+    for k, (W, b) in enumerate(raw):
+        W = np.asarray(W, dtype=np.float64)
+        out = W.shape[-1] if W.ndim == 3 else -1
+        W = _floats_in(W, (n, width, out), f"{what}.weights[{k}].W")
+        b = _floats_in(b, (n, out), f"{what}.weights[{k}].b")
+        weights.append((W, b))
+        width = out
+    _check(weights and width == out_dim, f"{what} layers do not end at out_dim {out_dim}")
+    return weights
+
+
+def _core_in(
+    d: dict, n_bins: np.ndarray, cfg: TrainConfig, smooth: np.ndarray, out_dim: int
+) -> ModelCore:
     p = n_bins.size
+    M = smooth.shape[1]
     dims = cfg.embedding_dim
+    _check(int(d["out_dim"]) == out_dim, f"out_dim {d['out_dim']}, expected {out_dim}")
+    _check(d["activation"] in ACTIVATIONS, f"unknown activation {d['activation']!r}")
+    _check(d["link"] == ("identity" if cfg.task == "regression" else "sigmoid"),
+           f"link {d['link']!r} does not match task {cfg.task!r}")
+    gamma, pair_gamma = float(d["gamma"]), float(d["pair_gamma"])
+    _check(np.isfinite([gamma, pair_gamma]).all() and min(gamma, pair_gamma) > 0,
+           "gate widths must be positive and finite")
+    f = d["feats"]
+    _check(len(f["emb"]) == p, f"{len(f['emb'])} feature embeddings for {p} features")
     emb = np.zeros((p, M, dims))
     for j, rows in enumerate(f["emb"]):
-        rows = np.asarray(rows, dtype=np.float64)
-        emb[j, : rows.shape[0]] = rows
-    kernel = cfg.kernel()
-    smooth = np.stack([smoothing_operator(int(n), M, kernel) for n in n_bins])
+        emb[j, : n_bins[j] + 1] = _floats_in(rows, (n_bins[j] + 1, dims), f"feats.emb[{j}]")
+    mono_dir = np.asarray(f["mono_dir"], dtype=np.int64)
+    _check(mono_dir.shape == (p,) and np.isin(mono_dir, (-1, 0, 1)).all(),
+           "mono_dir must hold -1, 0 or +1 per feature")
+    active = np.asarray(f["active"], dtype=np.int64)
+    _check(active.shape == (p,), "feats.active must hold one flag per feature")
     feats = FeatureStack(
         emb=emb,
-        weights=_weights_in(f["weights"]),
-        mu=np.asarray(f["mu"], dtype=np.float64),
+        weights=_weights_in(f["weights"], p, dims, out_dim, "feats"),
+        mu=_floats_in(f["mu"], (p,), "feats.mu"),
         n_bins=n_bins,
         smooth=smooth,
-        mono_dir=np.asarray(f["mono_dir"], dtype=np.int64),
-        mono_off=np.asarray(f["mono_off"], dtype=np.float64),
-        active=np.asarray(f["active"], dtype=np.int64).astype(bool),
+        mono_dir=mono_dir,
+        mono_off=_floats_in(f["mono_off"], (p,), "feats.mono_off"),
+        active=active.astype(bool),
     )
     pairs = None
     if d["pairs"] is not None:
         pr = d["pairs"]
         index = [(int(a), int(b)) for a, b in pr["index"]]
         q = len(index)
+        _check(all(0 <= a < p and 0 <= b < p and a != b for a, b in index),
+               "pair index out of range")
+        _check(len(pr["emb"]) == q, f"{len(pr['emb'])} pair embeddings for {q} pairs")
         pemb = np.zeros((q, M, M, dims))
-        for k, cells in enumerate(pr["emb"]):
-            cells = np.asarray(cells, dtype=np.float64)
-            pemb[k, : cells.shape[0], : cells.shape[1]] = cells
+        for k, (a, b) in enumerate(index):
+            na, nb = n_bins[a] + 1, n_bins[b] + 1
+            pemb[k, :na, :nb] = _floats_in(pr["emb"][k], (na, nb, dims), f"pairs.emb[{k}]")
+        active = np.asarray(pr["active"], dtype=np.int64)
+        _check(active.shape == (q,), "pairs.active must hold one flag per pair")
         ja = [a for a, _ in index]
         jb = [b for _, b in index]
         pairs = PairStack(
             pairs=index,
             emb=pemb,
-            weights=_weights_in(pr["weights"]),
-            mu=np.asarray(pr["mu"], dtype=np.float64),
+            weights=_weights_in(pr["weights"], q, dims, out_dim, "pairs"),
+            mu=_floats_in(pr["mu"], (q,), "pairs.mu"),
             smooth_a=smooth[ja].copy(),
             smooth_b=smooth[jb].copy(),
-            active=np.asarray(pr["active"], dtype=np.int64).astype(bool),
+            active=active.astype(bool),
         )
     return ModelCore(
         feats=feats,
         pairs=pairs,
-        gamma=float(d["gamma"]),
-        pair_gamma=float(d["pair_gamma"]),
-        out_dim=int(d["out_dim"]),
+        gamma=gamma,
+        pair_gamma=pair_gamma,
+        out_dim=out_dim,
         activation=str(d["activation"]),
         link=str(d["link"]),
-        beta0=np.zeros(int(d["out_dim"])),
+        beta0=np.zeros(out_dim),
     )
 
 
-def model_from_dict(d: dict) -> EnsembleModel:
+def _split_in(s: dict, n_bins, cfg, smooth, out_dim: int) -> SingleSplitModel:
+    core = _core_in(s["core"], n_bins, cfg, smooth, out_dim)
+    q = 0 if core.pairs is None else core.pairs.n_pairs
+    c_pair = np.asarray(s["c_pair"], dtype=np.float64).reshape(-1, out_dim)  # [] if q == 0
+    return SingleSplitModel(
+        core=core,
+        beta0=_floats_in(s["beta0"], (out_dim,), "beta0"),
+        c_feat=_floats_in(s["c_feat"], (n_bins.size, out_dim), "c_feat"),
+        c_pair=_floats_in(c_pair, (q, out_dim), "c_pair"),
+        history={},
+        val_loss=float(s["val_loss"]),
+    )
+
+
+def _bin_map_in(raw: dict) -> BinMap:
+    bm = BinMap.from_dict(raw)
+    _check(bm.kind in ("continuous", "categorical"), f"unknown bin map kind {bm.kind!r}")
+    edges = np.asarray(bm.edges, dtype=np.float64)
+    _check(np.isfinite(edges).all() and (np.diff(edges) > 0).all(),
+           f"bin edges of {bm.feature!r} must be finite and increasing")
+    _check(len(set(bm.categories)) == len(bm.categories),
+           f"repeated categories in {bm.feature!r}")
+    return bm
+
+
+def _model_in(d: dict) -> EnsembleModel:
     version = str(d.get("format_version", ""))
     major = version.split(".", 1)[0]
     ours = FORMAT_VERSION.split(".", 1)[0]
@@ -165,37 +285,63 @@ def model_from_dict(d: dict) -> EnsembleModel:
             f"model format version {version!r} is newer than supported {FORMAT_VERSION}"
         )
     cfg = TrainConfig.from_dict(d["config"])
+    cfg.validate()
+    task = str(d["task"])
+    _check(task == cfg.task, f"task {task!r} differs from config task {cfg.task!r}")
     schema = [FeatureSchema.from_dict(s) for s in d["schema"]]
-    bin_maps = [BinMap.from_dict(b) for b in d["bin_maps"]]
+    bin_maps = [_bin_map_in(b) for b in d["bin_maps"]]
+    _check(bin_maps, "no features")
+    _check([(fs.name, fs.kind) for fs in schema] == [(bm.feature, bm.kind) for bm in bin_maps],
+           "schema does not match bin maps")
     n_bins = np.array([bm.n_bins for bm in bin_maps], dtype=np.int64)
-    splits = []
-    for s in d["splits"]:
-        core = _core_in(s["core"], n_bins, cfg)
-        splits.append(
-            SingleSplitModel(
-                core=core,
-                beta0=np.asarray(s["beta0"], dtype=np.float64),
-                c_feat=np.asarray(s["c_feat"], dtype=np.float64).reshape(
-                    n_bins.size, core.out_dim
-                ),
-                c_pair=np.asarray(s["c_pair"], dtype=np.float64).reshape(
-                    -1, core.out_dim
-                ),
-                history={},
-                val_loss=float(s["val_loss"]),
-            )
-        )
     eval_times = d["eval_times"]
+    if task == "survival":
+        eval_times = np.asarray(eval_times, dtype=np.float64)
+        _check(eval_times.ndim == 1 and eval_times.size > 0
+               and np.isfinite(eval_times).all() and (np.diff(eval_times) > 0).all(),
+               "survival eval_times must be finite and increasing")
+        out_dim = eval_times.size
+    else:
+        _check(eval_times is None, f"eval_times given for a {task} model")
+        out_dim = 1
+    n_samples = int(d["n_samples"])
+    _check(n_samples >= cfg.n_val_splits, f"n_samples {n_samples} below n_val_splits")
+    M = int(n_bins.max()) + 1
+    smooth = np.stack([smoothing_operator(int(n), M, cfg.kernel()) for n in n_bins])
+    _check(np.isfinite(smooth).all(), "kernel smoothing is not finite")
+    _check(d["splits"], "no splits")
+    splits = [_split_in(s, n_bins, cfg, smooth, out_dim) for s in d["splits"]]
+    selected_pairs = [(a, b) for a, b in d["selected_pairs"]]
+    names = [bm.feature for bm in bin_maps]
+    for sp in splits:
+        index = [] if sp.core.pairs is None else sp.core.pairs.pairs
+        _check([(names[a], names[b]) for a, b in index] == selected_pairs,
+               "pair index does not match selected_pairs")
     return EnsembleModel(
-        task=str(d["task"]),
+        task=task,
         config=cfg,
         schema=schema,
         bin_maps=bin_maps,
-        selected_pairs=[(a, b) for a, b in d["selected_pairs"]],
-        eval_times=None if eval_times is None else np.asarray(eval_times, dtype=np.float64),
-        n_samples=int(d["n_samples"]),
+        selected_pairs=selected_pairs,
+        eval_times=eval_times,
+        n_samples=n_samples,
         splits=splits,
     )
+
+
+def model_from_dict(d: dict) -> EnsembleModel:
+    """Rebuild an ensemble from its saved document.
+
+    Anything that does not describe a usable model raises DataError:
+    missing keys, wrong types, array shapes that disagree with the bin maps
+    or the output size, and non-finite parameters.
+    """
+    try:
+        return _model_in(d)
+    except ConfigError as e:
+        raise DataError(f"invalid model config: {e}") from None
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as e:
+        raise DataError(f"invalid model: {type(e).__name__}: {e}") from None
 
 
 def dumps_model(ens: EnsembleModel) -> str:
@@ -225,4 +371,17 @@ def load_model(path) -> EnsembleModel:
 
 
 def model_hash(ens: EnsembleModel) -> str:
-    return hashlib.sha256(dumps_model(ens).encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of ``dumps_model(ens)``, memoized by content.
+
+    The value is exactly that digest. Serializing is the costly part, so
+    the last (content key, digest) pair is kept on the instance and the
+    model is serialized again only when ``_content_key`` changes, which it
+    does whenever the saved text would, in-place array edits included.
+    """
+    key = _content_key(_model_doc(ens))
+    memo = getattr(ens, "_hash_memo", None)
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    digest = hashlib.sha256(dumps_model(ens).encode("utf-8")).hexdigest()
+    ens._hash_memo = (key, digest)
+    return digest

@@ -6,7 +6,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import forward_pass, init_core, sigmoid
 from .data import fit_bins, split_folds, transform
@@ -260,13 +259,31 @@ def select_features(
 # --- validation scores ----------------------------------------------------------
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their mean rank; all NaN if any is NaN.
+
+    Matches ``scipy.stats.rankdata(x)``. Ranks are half-integers, so they
+    are exact in float64.
+    """
+    x = np.ravel(x)
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def _rank_auc(y: np.ndarray, scores: np.ndarray) -> float:
     pos = y == 1
     n_pos = int(pos.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

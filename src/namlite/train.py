@@ -8,6 +8,7 @@ against frozen mains whose per-sample contribution is precomputed once.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -928,7 +929,7 @@ def fit(
             seed_seq=split_seeds[i],
         )
 
-    threads = cfg.threads if cfg.threads else cfg.n_val_splits
+    threads = cfg.threads or min(cfg.n_val_splits, os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             splits = list(pool.map(run_split, range(cfg.n_val_splits)))

@@ -279,6 +279,20 @@ class TestPredict:
     def test_missing_model_file_is_data_error(self, reg_run, tmp_path):
         assert main(["predict", str(tmp_path / "no.json"), reg_run["test_csv"]]) == 3
 
+    @pytest.mark.parametrize("corrupt", ["no_splits", "nan_beta0", "no_config"])
+    def test_corrupt_model_file_is_data_error(self, reg_run, tmp_path, corrupt):
+        with open(reg_run["model"]) as fh:
+            doc = json.load(fh)
+        if corrupt == "no_splits":
+            doc["splits"] = []
+        elif corrupt == "nan_beta0":
+            doc["splits"][0]["beta0"][0] = float("nan")
+        else:
+            del doc["config"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["predict", str(bad), reg_run["test_csv"]]) == 3
+
 
 # --- select / path -----------------------------------------------------------------
 

@@ -1,11 +1,17 @@
-"""Versioned JSON round trips, byte stability, and model hashing."""
+"""Versioned JSON round trips, byte stability, model hashing, load checks."""
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import namlite.persist as persist
 from namlite.errors import DataError
+from namlite.explain import calibration, feature_importance, pair_shape_function, shape_function
 from namlite.persist import (
     FORMAT_VERSION,
     dumps_model,
@@ -35,6 +41,19 @@ def trained():
     )
     ens = fit(table, y, cfg, selected_pairs=[("num", "other")])
     return ens, table
+
+
+@pytest.fixture(scope="module")
+def mains_trained():
+    rng = np.random.default_rng(3)
+    n = 200
+    table = {"a": rng.normal(size=n), "b": rng.choice(["x", "y"], size=n)}
+    y = table["a"] + (table["b"] == "x") + 0.1 * rng.normal(size=n)
+    cfg = TrainConfig(
+        n_val_splits=2, batch_size=32, max_epochs=3, embedding_dim=4,
+        hidden_sizes=(8,), max_bins=5, seed=4,
+    )
+    return fit(table, y, cfg), table
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +178,176 @@ class TestModelHash:
         again = loads_model(dumps_model(ens))
         again.config.threads = 7
         assert model_hash(again) == model_hash(ens)
+
+    @pytest.mark.parametrize("name", ["mains_trained", "trained", "surv_trained"])
+    def test_equals_sha256_of_dump(self, name, request):
+        ens, _ = request.getfixturevalue(name)
+        want = hashlib.sha256(dumps_model(ens).encode("utf-8")).hexdigest()
+        assert model_hash(ens) == want
+        assert model_hash(ens) == want  # memo hit
+
+    @settings(
+        deadline=None, max_examples=60,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_in_place_edit_is_rehashed(self, trained, surv_trained, data):
+        ens, _ = data.draw(st.sampled_from([trained, surv_trained]))
+        ens = loads_model(dumps_model(ens))
+        before, before_text = model_hash(ens), dumps_model(ens)
+        arrays = _param_arrays(ens)
+        a = arrays[data.draw(st.sampled_from(sorted(arrays)))]
+        i = data.draw(st.integers(0, a.size - 1))
+        if a.dtype == bool:
+            a.flat[i] = not a.flat[i]
+        elif a.dtype.kind == "i":
+            a.flat[i] = (a.flat[i] + 2) % 3 - 1
+        else:
+            a.flat[i] = np.nextafter(a.flat[i], np.inf)
+        text = dumps_model(ens)
+        assert model_hash(ens) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert (model_hash(ens) == before) == (text == before_text)
+
+    @pytest.mark.parametrize("name", ["trained", "surv_trained"])
+    def test_explain_sequence_serializes_once(self, name, request, monkeypatch):
+        ens, table = request.getfixturevalue(name)
+        ens = loads_model(dumps_model(ens))
+        calls = []
+        real = persist.dumps_model
+
+        def counting(model):
+            calls.append(1)
+            return real(model)
+
+        monkeypatch.setattr(persist, "dumps_model", counting)
+        for mode in ("include", "ignore", "stratify"):
+            feature_importance(ens, table, mode=mode)
+        for feat in ens.feature_names:
+            shape_function(ens, feat)
+        for a, b in ens.selected_pairs:
+            pair_shape_function(ens, a, b)
+        if ens.task == "survival":
+            labels = {"event": np.ones(len(table["u"]), bool), "time": np.ones(len(table["u"]))}
+            calibration(ens, table, labels)
+        assert len(calls) == 1
+
+    def test_memo_is_not_part_of_the_model(self, trained):
+        ens, _ = trained
+        again = loads_model(dumps_model(ens))
+        model_hash(again)
+        assert "_hash_memo" not in repr(again)
+        assert "_hash_memo" not in {f.name for f in dataclasses.fields(again)}
+        assert dumps_model(again) == dumps_model(ens)
+
+
+def _param_arrays(ens) -> dict:
+    """Every parameter array the saved document is built from, by name."""
+    out = {}
+    if ens.eval_times is not None:
+        out["eval_times"] = ens.eval_times
+    for i, sp in enumerate(ens.splits):
+        out[f"{i}.beta0"] = sp.beta0
+        out[f"{i}.c_feat"] = sp.c_feat
+        if sp.c_pair.size:
+            out[f"{i}.c_pair"] = sp.c_pair
+        core = sp.core
+        out[f"{i}.mono_dir"] = core.feats.mono_dir
+        out[f"{i}.mono_off"] = core.feats.mono_off
+        for name, stack in (("feats", core.feats), ("pairs", core.pairs)):
+            if stack is None:
+                continue
+            out[f"{i}.{name}.emb"] = stack.emb
+            out[f"{i}.{name}.mu"] = stack.mu
+            out[f"{i}.{name}.active"] = stack.active
+            for k, (W, b) in enumerate(stack.weights):
+                out[f"{i}.{name}.W{k}"] = W
+                out[f"{i}.{name}.b{k}"] = b
+    return out
+
+
+class TestLoadValidation:
+    def _doc(self, trained):
+        return model_to_dict(trained[0])  # fresh lists on every call
+
+    def test_no_splits(self, trained):
+        doc = self._doc(trained)
+        doc["splits"] = []
+        with pytest.raises(DataError):
+            model_from_dict(doc)
+
+    def test_missing_config(self, trained):
+        doc = self._doc(trained)
+        del doc["config"]
+        with pytest.raises(DataError):
+            model_from_dict(doc)
+
+    def test_wrong_c_feat_shape(self, trained):
+        doc = self._doc(trained)
+        doc["splits"][0]["c_feat"] = doc["splits"][0]["c_feat"][:-1]
+        with pytest.raises(DataError):
+            model_from_dict(doc)
+
+    def test_short_embedding(self, trained):
+        doc = self._doc(trained)
+        doc["splits"][0]["core"]["feats"]["emb"][0].pop()
+        with pytest.raises(DataError):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["beta0", "c_feat", "c_pair", "weights"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters(self, trained, field, bad):
+        doc = self._doc(trained)
+        sp = doc["splits"][0]
+        if field == "beta0":
+            sp["beta0"][0] = bad
+        elif field == "weights":
+            sp["core"]["feats"]["weights"][0][1][0][0] = bad
+        else:
+            sp[field][0][0] = bad
+        with pytest.raises(DataError):
+            model_from_dict(doc)
+
+    @settings(
+        deadline=None, max_examples=150,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_document_loads_cleanly_or_raises(self, trained, surv_trained, data):
+        ens, table = data.draw(st.sampled_from([trained, surv_trained]))
+        doc = model_to_dict(ens)
+        paths = _paths(doc)
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["delete", "replace", "truncate"]))
+        last = path[-1]
+        if action == "delete":
+            del parent[last]
+        elif action == "truncate" and isinstance(parent[last], list) and parent[last]:
+            parent[last] = parent[last][:-1]
+        else:
+            parent[last] = data.draw(st.sampled_from(_REPLACEMENTS))
+        try:
+            again = model_from_dict(doc)
+        except DataError:
+            return
+        assert np.isfinite(predict(again, table)).all()
+
+
+_REPLACEMENTS = [None, "x", float("nan"), float("inf"), -1, 0, 2, 0.5, True, [], {}, [0.0]]
+
+
+def _paths(node, prefix=()) -> list:
+    """Paths to every dict entry, and to the first and last item of each list."""
+    out = []
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = sorted({0, len(node) - 1}) if node else []
+    else:
+        return out
+    for k in keys:
+        out.append(prefix + (k,))
+        out.extend(_paths(node[k], prefix + (k,)))
+    return out

@@ -1,10 +1,18 @@
 """Gate-based feature/pair selection and the regularization path."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
+import namlite
 from namlite.errors import ConfigError
 from namlite.select import (
     SelectionConfig,
@@ -12,6 +20,7 @@ from namlite.select import (
     lookup_feats,
     regularization_path,
     select_features,
+    _average_ranks,
     _rank_auc,
 )
 from namlite.train import TrainConfig
@@ -154,6 +163,26 @@ class TestRankAuc:
 
     def test_single_class_is_nan(self):
         assert np.isnan(_rank_auc(np.ones(4), np.arange(4.0)))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.integers(0, 3), max_size=40)
+        | st.lists(st.floats(-1e6, 1e6), max_size=40)
+        | st.lists(st.sampled_from([-0.0, 0.0, 1.5, float("nan")]), max_size=12)
+    )
+    def test_average_ranks_match_scipy(self, values):
+        x = np.asarray(values, dtype=np.float64)
+        np.testing.assert_array_equal(_average_ranks(x), rankdata(x))
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(namlite.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, namlite; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 # --- path -------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from namlite.core import flat_pair_codes, forward_pass, param_dict
 from namlite.data import split_folds
 from namlite.errors import ConfigError, DataError
-from namlite.persist import dumps_model
+from namlite.persist import dumps_model, model_hash
 from namlite.survival import as_survival_labels, censoring_curve
 from namlite.train import (
     EnsembleModel,
@@ -260,6 +260,14 @@ class TestFit:
         a = fit(table, y, _fast_cfg(max_epochs=5))
         b = fit(table, y, _fast_cfg(max_epochs=5))
         assert dumps_model(a) == dumps_model(b)
+
+    def test_thread_count_does_not_change_model(self):
+        rng = np.random.default_rng(12)
+        table = self._table(rng, 150)
+        y = table["x1"] + table["x2"]
+        one = fit(table, y, _fast_cfg(max_epochs=3, threads=1))
+        two = fit(table, y, _fast_cfg(max_epochs=3, threads=2))
+        assert model_hash(one) == model_hash(two)
 
     def test_selected_feature_subset_restricts_model(self):
         rng = np.random.default_rng(13)
