@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .core import ACTIVATIONS, FeatureStack, ModelCore, PairStack, smoothing_operator
-from .data import BinMap, FeatureSchema
+from .data import KINDS, BinMap, FeatureSchema
 from .errors import ConfigError, DataError
 from .train import EnsembleModel, SingleSplitModel, TrainConfig
 
@@ -114,39 +114,21 @@ def _tolist(node):
 def _content_key(doc) -> bytes:
     """Digest of a model document that changes whenever its JSON would.
 
-    Each array contributes its dtype, shape and raw bytes, which fix its
-    ``tolist`` text. Each subtree without arrays contributes its JSON text,
-    which never holds a NUL byte, so NUL ends it. Type tags and brackets
-    keep distinct documents from producing the same stream.
+    The document is encoded with each array replaced by its dtype and
+    shape, while the raw bytes of the arrays go into the digest in document
+    order. That JSON skeleton and its length, hashed after them, fix the
+    structure and each array's size, and the bytes fix each array's
+    ``tolist`` text.
     """
     h = hashlib.blake2b(digest_size=32)
 
-    def walk(node):
-        if isinstance(node, np.ndarray):
-            a = np.ascontiguousarray(node)
-            h.update(f"a{a.dtype.str}{a.shape}".encode())
-            h.update(a)
-            return
-        try:
-            text = json.dumps(node)
-        except TypeError:  # an array inside: descend
-            pass
-        else:
-            h.update(b"j" + text.encode() + b"\0")
-            return
-        if isinstance(node, dict):
-            h.update(b"{")
-            for k, v in node.items():
-                h.update(json.dumps(k).encode() + b":")
-                walk(v)
-            h.update(b"}")
-        else:
-            h.update(b"[")
-            for v in node:
-                walk(v)
-            h.update(b"]")
+    def array_meta(a):
+        h.update(np.ascontiguousarray(a))
+        return [a.dtype.str, a.shape]
 
-    walk(doc)
+    skeleton = json.dumps(doc, default=array_meta).encode()
+    h.update(skeleton)
+    h.update(len(skeleton).to_bytes(8, "little"))
     return h.digest()
 
 
@@ -267,7 +249,7 @@ def _split_in(s: dict, n_bins, cfg, smooth, out_dim: int) -> SingleSplitModel:
 
 def _bin_map_in(raw: dict) -> BinMap:
     bm = BinMap.from_dict(raw)
-    _check(bm.kind in ("continuous", "categorical"), f"unknown bin map kind {bm.kind!r}")
+    _check(bm.kind in KINDS, f"unknown bin map kind {bm.kind!r}")
     edges = np.asarray(bm.edges, dtype=np.float64)
     _check(np.isfinite(edges).all() and (np.diff(edges) > 0).all(),
            f"bin edges of {bm.feature!r} must be finite and increasing")
@@ -339,9 +321,9 @@ def model_from_dict(d: dict) -> EnsembleModel:
     try:
         return _model_in(d)
     except ConfigError as e:
-        raise DataError(f"invalid model config: {e}") from None
+        raise DataError(f"invalid model config: {e}") from e
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as e:
-        raise DataError(f"invalid model: {type(e).__name__}: {e}") from None
+        raise DataError(f"invalid model: {type(e).__name__}: {e}") from e
 
 
 def dumps_model(ens: EnsembleModel) -> str:

@@ -814,6 +814,13 @@ class EnsembleModel:
         return avg[:, 0]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _resolve_features(table, schema, selected_feats):
     if schema is None:
         schema = infer_schema(table)
@@ -929,7 +936,7 @@ def fit(
             seed_seq=split_seeds[i],
         )
 
-    threads = cfg.threads or min(cfg.n_val_splits, os.cpu_count() or 1)
+    threads = cfg.threads or min(cfg.n_val_splits, _usable_cpus())
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             splits = list(pool.map(run_split, range(cfg.n_val_splits)))

@@ -276,6 +276,22 @@ class TestPredict:
         model = load_model(surv_run["model"])
         assert header == [f"cdf@{repr(float(t))}" for t in model.eval_times]
 
+    def test_model_with_binary_feature_predicts(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 200
+        flag = rng.choice(["no", "yes"], size=n)
+        cols = {"x1": rng.normal(size=n), "flag": flag}
+        cols["y"] = cols["x1"] + (flag == "yes") + 0.1 * rng.normal(size=n)
+        train_csv = _write_csv(tmp_path / "train.csv", cols)
+        cfg_path = tmp_path / "run.json"
+        out = tmp_path / "out"
+        cfg_path.write_text(json.dumps(_base_cfg(train_csv, str(out), target="y", max_epochs=2)))
+        assert main(["train", str(cfg_path)]) == 0
+        model = load_model(out / "model.json")
+        assert [bm.kind for bm in model.bin_maps] == ["continuous", "binary"]
+        assert main(["predict", str(out / "model.json"), train_csv, "--out",
+                     str(tmp_path / "preds.csv")]) == 0
+
     def test_missing_model_file_is_data_error(self, reg_run, tmp_path):
         assert main(["predict", str(tmp_path / "no.json"), reg_run["test_csv"]]) == 3
 

@@ -45,6 +45,7 @@ def trained():
 
 @pytest.fixture(scope="module")
 def mains_trained():
+    """Main effects only, with a binary column 'b'."""
     rng = np.random.default_rng(3)
     n = 200
     table = {"a": rng.normal(size=n), "b": rng.choice(["x", "y"], size=n)}
@@ -81,6 +82,14 @@ class TestRoundTrip:
         ens, _ = trained
         text = dumps_model(ens)
         assert dumps_model(loads_model(text)) == text
+
+    @pytest.mark.parametrize("name", ["mains_trained", "surv_trained"])
+    def test_other_tasks_and_kinds_round_trip(self, name, request):
+        ens, table = request.getfixturevalue(name)
+        text = dumps_model(ens)
+        again = loads_model(text)
+        assert dumps_model(again) == text
+        np.testing.assert_array_equal(predict(again, table), predict(ens, table))
 
     def test_file_round_trip(self, trained, tmp_path):
         ens, table = trained
@@ -278,8 +287,9 @@ class TestLoadValidation:
     def test_missing_config(self, trained):
         doc = self._doc(trained)
         del doc["config"]
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as info:
             model_from_dict(doc)
+        assert isinstance(info.value.__cause__, KeyError)  # loader faults stay traceable
 
     def test_wrong_c_feat_shape(self, trained):
         doc = self._doc(trained)
@@ -312,8 +322,10 @@ class TestLoadValidation:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
-    def test_mutated_document_loads_cleanly_or_raises(self, trained, surv_trained, data):
-        ens, table = data.draw(st.sampled_from([trained, surv_trained]))
+    def test_mutated_document_loads_cleanly_or_raises(
+        self, mains_trained, trained, surv_trained, data
+    ):
+        ens, table = data.draw(st.sampled_from([mains_trained, trained, surv_trained]))
         doc = model_to_dict(ens)
         paths = _paths(doc)
         path = data.draw(st.sampled_from(paths))
