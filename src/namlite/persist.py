@@ -17,7 +17,7 @@ import numpy as np
 from .core import ACTIVATIONS, FeatureStack, ModelCore, PairStack, smoothing_operator
 from .data import KINDS, BinMap, FeatureSchema
 from .errors import ConfigError, DataError
-from .train import EnsembleModel, SingleSplitModel, TrainConfig
+from .train import _OBJECTIVES, EnsembleModel, SingleSplitModel, TrainConfig
 
 __all__ = [
     "FORMAT_VERSION",
@@ -171,7 +171,7 @@ def _core_in(
     dims = cfg.embedding_dim
     _check(int(d["out_dim"]) == out_dim, f"out_dim {d['out_dim']}, expected {out_dim}")
     _check(d["activation"] in ACTIVATIONS, f"unknown activation {d['activation']!r}")
-    _check(d["link"] == ("identity" if cfg.task == "regression" else "sigmoid"),
+    _check(d["link"] == _OBJECTIVES[cfg.task].link,
            f"link {d['link']!r} does not match task {cfg.task!r}")
     gamma, pair_gamma = float(d["gamma"]), float(d["pair_gamma"])
     _check(np.isfinite([gamma, pair_gamma]).all() and min(gamma, pair_gamma) > 0,

@@ -7,20 +7,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import forward_pass, init_core, sigmoid
+from .core import forward_pass, sigmoid
 from .data import fit_bins, split_folds, transform
 from .errors import ConfigError
 from .train import (
     TrainConfig,
     _bin_counts,
-    _make_objectives,
+    _make_split,
     _mono_vector,
     _normalize_targets,
     _pair_universe,
     _Phase,
     _resolve_features,
-    _run_phase,
-    _slice_targets,
+    _Split,
+    _train_mains,
 )
 
 __all__ = [
@@ -100,16 +100,14 @@ def lookup_feats(feats: dict[int, list[str]], num: int) -> list[str]:
 @dataclass
 class _SelectionRun:
     core: object
-    codes_tr: np.ndarray
-    codes_val: np.ndarray
-    obj_tr: object
-    obj_val: object
+    split: _Split
+    shuffle_rng: np.random.Generator
     feature_names: list[str]
     pair_universe: list[tuple[int, int]]
-    phase_flags: dict
 
 
 def _build_selection(table, y, cfg: TrainConfig, sel: SelectionConfig, schema):
+    """Split 0 of `fit`'s folds, with a gated core over every feature."""
     cfg.validate()
     sel.validate()
     schema = _resolve_features(table, schema, None)
@@ -120,97 +118,42 @@ def _build_selection(table, y, cfg: TrainConfig, sel: SelectionConfig, schema):
     names = [bm.feature for bm in bin_maps]
     mono = _mono_vector(cfg, names)
     tr, va = split_folds(n, cfg.n_val_splits, cfg.seed)[0]
-    y_tr = _slice_targets(cfg.task, y, tr)
-    y_val = _slice_targets(cfg.task, y, va)
-    obj_tr, obj_val, _ = _make_objectives(cfg, y_tr, y_val, codes[tr], codes[va], None)
+    split = _make_split(
+        cfg, codes[tr], y[tr], codes[va], y[va], _bin_counts(bin_maps), mono,
+        seed_seq=np.random.SeedSequence(cfg.seed).spawn(cfg.n_val_splits)[0],
+    )
     gamma = sel.gamma or default_gamma(tr.size, cfg.batch_size, cfg.embedding_dim)
     pair_gamma = sel.pair_gamma or gamma / 4.0
-    ss = np.random.SeedSequence(cfg.seed).spawn(cfg.n_val_splits)[0]
-    init_ss, shuffle_ss = ss.spawn(2)
-    init_rng = np.random.default_rng(init_ss)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    link = "identity" if cfg.task == "regression" else "sigmoid"
+    init_rng, shuffle_rng = split.rngs()
     universe: list[tuple[int, int]] = []
     if sel.select_pairs and len(names) >= 2:
-        universe = _selection_pair_universe(
-            codes[tr], codes[va], obj_tr, obj_val, cfg, mono, link, init_rng,
-            shuffle_rng, _bin_counts(bin_maps),
-        )
-    core = init_core(
-        _bin_counts(bin_maps),
-        obj_tr.out_dim,
-        cfg.kernel(),
+        # Past 20 features, candidates come from ranking trained mains, as in fit.
+        probe = _train_mains(split, init_rng, shuffle_rng)[0] if len(names) > 20 else None
+        universe = _pair_universe(probe, split.codes_tr)
+    core = split.new_core(
         init_rng,
-        embedding_dim=cfg.embedding_dim,
-        hidden_sizes=tuple(cfg.hidden_sizes),
-        activation=cfg.activation,
-        link=link,
         gamma=gamma,
         pair_gamma=pair_gamma,
         gates_trainable=True,
         pairs=universe or None,
-        mono_dir=mono,
         pair_gates_trainable=bool(universe),
     )
-    return _SelectionRun(
-        core=core,
-        codes_tr=codes[tr],
-        codes_val=codes[va],
-        obj_tr=obj_tr,
-        obj_val=obj_val,
-        feature_names=names,
-        pair_universe=universe,
-        phase_flags={"shuffle_rng": shuffle_rng, "select_pairs": bool(universe)},
-    )
+    return _SelectionRun(core, split, shuffle_rng, names, universe)
 
 
-def _selection_pair_universe(
-    codes_tr, codes_val, obj_tr, obj_val, cfg, mono, link, init_rng, shuffle_rng,
-    n_bins,
-):
-    """Candidate pairs; with many features, rank mains first and keep the top 20."""
-    p = n_bins.size
-    if p <= 20:
-        return [(int(a), int(b)) for a in range(p) for b in range(a + 1, p)]
-    probe = init_core(
-        n_bins,
-        obj_tr.out_dim,
-        cfg.kernel(),
-        init_rng,
-        embedding_dim=cfg.embedding_dim,
-        hidden_sizes=tuple(cfg.hidden_sizes),
-        activation=cfg.activation,
-        link=link,
-        mono_dir=mono,
-    )
-    _run_phase(
-        probe, _Phase("mains", train_feats=True),
-        codes_tr, codes_val, obj_tr, obj_val, cfg, shuffle_rng,
-    )
-    return _pair_universe(probe, codes_tr)
-
-
-def _run_selection_step(run: _SelectionRun, cfg: TrainConfig, reg: float, pair_reg: float):
+def _run_selection_step(run: _SelectionRun, reg: float, pair_reg: float):
+    select_pairs = bool(run.pair_universe)
     phase = _Phase(
         "selection",
         train_feats=True,
-        train_pairs=run.phase_flags["select_pairs"],
+        train_pairs=select_pairs,
         feat_gates=True,
-        pair_gates=run.phase_flags["select_pairs"],
+        pair_gates=select_pairs,
         prune=True,
         reg=reg,
         pair_reg=pair_reg,
     )
-    return _run_phase(
-        run.core,
-        phase,
-        run.codes_tr,
-        run.codes_val,
-        run.obj_tr,
-        run.obj_val,
-        cfg,
-        run.phase_flags["shuffle_rng"],
-    )
+    return run.split.run(run.core, phase, run.shuffle_rng)
 
 
 def _result_from(run: _SelectionRun) -> SelectionResult:
@@ -252,7 +195,7 @@ def select_features(
     """
     sel = sel or SelectionConfig()
     run = _build_selection(table, y, cfg, sel, schema)
-    _run_selection_step(run, cfg, sel.reg_param, sel.pair_reg_param)
+    _run_selection_step(run, sel.reg_param, sel.pair_reg_param)
     return _result_from(run)
 
 
@@ -289,15 +232,12 @@ def _rank_auc(y: np.ndarray, scores: np.ndarray) -> float:
 
 def _val_metrics(run: _SelectionRun, cfg: TrainConfig) -> tuple[float, float]:
     """Task loss and score (AUC / RMSE / IPCW) on the validation fold."""
-    cache = forward_pass(
-        run.core,
-        run.codes_val,
-        compute_pairs=run.phase_flags["select_pairs"],
-    )
-    rows = np.arange(run.codes_val.shape[0])
-    val_loss = run.obj_val.loss(cache.eta, rows)
+    split = run.split
+    cache = forward_pass(run.core, split.codes_val, compute_pairs=bool(run.pair_universe))
+    rows = np.arange(split.codes_val.shape[0])
+    val_loss = split.obj_val.loss(cache.eta, rows)
     if cfg.task == "classification":
-        score = _rank_auc(run.obj_val.y, sigmoid(cache.eta[:, 0]))
+        score = _rank_auc(split.obj_val.y, sigmoid(cache.eta[:, 0]))
     elif cfg.task == "regression":
         score = float(np.sqrt(val_loss))
     else:
@@ -334,8 +274,8 @@ def regularization_path(
     pair_scale = (sel.pair_reg_param / sel.reg_param) if sel.reg_param > 0 else 1.0
     prev_num = None
     for _ in range(max_steps):
-        pair_reg = reg * pair_scale if run.phase_flags["select_pairs"] else 0.0
-        _run_selection_step(run, cfg, reg, pair_reg)
+        pair_reg = reg * pair_scale if run.pair_universe else 0.0
+        _run_selection_step(run, reg, pair_reg)
         result = _result_from(run)
         val_loss, val_score = _val_metrics(run, cfg)
         num = len(result.selected_feats)

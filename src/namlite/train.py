@@ -4,6 +4,13 @@ Training runs in phases. Final fits keep every gate fixed at exactly 1;
 gates only move during selection phases, so a finalized model always
 satisfies the saturated-gate centering identity. Pair effects train
 against frozen mains whose per-sample contribution is precomputed once.
+
+Each train/validation fold gets one split context (`_Split`), built once:
+its bin codes, its two objectives, its seed and a factory for cores with
+the config's architecture. One pipeline, `fit_single_split`, trains every
+split of `fit`. Pairs are screened once, on split 0's context and trained
+mains, and split 0 keeps those mains. `select_features` and
+`regularization_path` train their gates on the same split 0 context.
 """
 
 from __future__ import annotations
@@ -239,6 +246,13 @@ class _IpcwObjective:
             np.mean(self.w_alive[rows] * p**2 + self.w_event[rows] * (1.0 - p) ** 2)
         )
 
+
+# The objective each task trains; its `link` maps eta to the prediction.
+_OBJECTIVES = {
+    "regression": _MseObjective,
+    "classification": _BceObjective,
+    "survival": _IpcwObjective,
+}
 
 # --- optimizer ----------------------------------------------------------------
 
@@ -476,24 +490,82 @@ def _censor_for(censor, codes: np.ndarray):
     return sv.CoxCensor(est, codes[:, keep].astype(np.float64))
 
 
-def _make_objectives(
+@dataclass
+class _Split:
+    """One train/validation fold, built once: bin codes, objectives, seed.
+
+    Every training phase on the fold runs through it, and every core it
+    trains comes from `new_core`, which fills in the config-derived
+    architecture.
+    """
+
+    cfg: TrainConfig
+    codes_tr: np.ndarray
+    codes_val: np.ndarray
+    obj_tr: object
+    obj_val: object
+    n_bins: np.ndarray
+    mono_dir: np.ndarray | None = None
+    seed_seq: np.random.SeedSequence | None = None
+
+    def rngs(self) -> tuple[np.random.Generator, np.random.Generator]:
+        """Fresh (init, shuffle) generators: each call spawns two new children."""
+        init_ss, shuffle_ss = self.seed_seq.spawn(2)
+        return np.random.default_rng(init_ss), np.random.default_rng(shuffle_ss)
+
+    def new_core(self, rng: np.random.Generator, **kw) -> ModelCore:
+        """A fresh core over this split's features; `kw` sets gates and pairs."""
+        cfg = self.cfg
+        kw.setdefault("mono_dir", self.mono_dir)
+        return init_core(
+            self.n_bins,
+            self.obj_tr.out_dim,
+            cfg.kernel(),
+            rng,
+            embedding_dim=cfg.embedding_dim,
+            hidden_sizes=tuple(cfg.hidden_sizes),
+            activation=cfg.activation,
+            link=self.obj_tr.link,
+            **kw,
+        )
+
+    def run(self, core: ModelCore, phase: _Phase, shuffle_rng) -> list[dict]:
+        return _run_phase(
+            core, phase, self.codes_tr, self.codes_val, self.obj_tr, self.obj_val,
+            self.cfg, shuffle_rng,
+        )
+
+
+def _make_split(
     cfg: TrainConfig,
-    y_tr,
-    y_val,
     codes_tr: np.ndarray,
+    y_tr,
     codes_val: np.ndarray,
-    eval_times: np.ndarray | None,
-):
-    if cfg.task == "regression":
-        return _MseObjective(y_tr), _MseObjective(y_val), None
-    if cfg.task == "classification":
-        return _BceObjective(y_tr), _BceObjective(y_val), None
-    if eval_times is None:
-        eval_times = sv.eval_time_grid(y_tr, cfg.n_eval_times)
-    censor = _censor_model(cfg, y_tr, codes_tr)
-    w1, w2 = sv.ipcw_weights(y_tr, eval_times, _censor_for(censor, codes_tr))
-    v1, v2 = sv.ipcw_weights(y_val, eval_times, _censor_for(censor, codes_val))
-    return _IpcwObjective(w1, w2), _IpcwObjective(v1, v2), eval_times
+    y_val,
+    n_bins: np.ndarray,
+    mono_dir: np.ndarray | None = None,
+    eval_times: np.ndarray | None = None,
+    seed_seq: np.random.SeedSequence | None = None,
+) -> _Split:
+    """A fold's context; its objectives, censoring model included, are built here."""
+    if cfg.task == "survival":
+        if eval_times is None:
+            eval_times = sv.eval_time_grid(y_tr, cfg.n_eval_times)
+        censor = _censor_model(cfg, y_tr, codes_tr)
+        w1, w2 = sv.ipcw_weights(y_tr, eval_times, _censor_for(censor, codes_tr))
+        v1, v2 = sv.ipcw_weights(y_val, eval_times, _censor_for(censor, codes_val))
+        obj_tr, obj_val = _IpcwObjective(w1, w2), _IpcwObjective(v1, v2)
+    else:
+        obj_tr, obj_val = _OBJECTIVES[cfg.task](y_tr), _OBJECTIVES[cfg.task](y_val)
+    if seed_seq is None:
+        seed_seq = np.random.SeedSequence(cfg.seed)
+    return _Split(cfg, codes_tr, codes_val, obj_tr, obj_val, n_bins, mono_dir, seed_seq)
+
+
+def _train_mains(split: _Split, rng, shuffle_rng) -> tuple[ModelCore, list[dict]]:
+    """A fresh core with its mains trained on `split`, gates fixed at 1."""
+    core = split.new_core(rng)
+    return core, split.run(core, _Phase("mains", train_feats=True), shuffle_rng)
 
 
 # --- split models -------------------------------------------------------------
@@ -586,81 +658,45 @@ def fit_single_split(
     eval_times: np.ndarray | None = None,
     mono_dir: np.ndarray | None = None,
     seed_seq: np.random.SeedSequence | None = None,
+    _screened: tuple | None = None,
 ) -> SingleSplitModel:
     """Train mains (and optionally pairs) on one train/validation split.
 
     Gates stay fixed at 1 throughout; early stopping restores the epoch
-    with the lowest validation loss.
+    with the lowest validation loss. `_screened` is the (split, core,
+    mains history) that pair screening left on this fold; its mains are
+    kept, and the pair phase draws fresh streams from the split's seed.
     """
-    if seed_seq is None:
-        seed_seq = np.random.SeedSequence(cfg.seed)
-    init_ss, shuffle_ss = seed_seq.spawn(2)
-    init_rng = np.random.default_rng(init_ss)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    obj_tr, obj_val, eval_times = _make_objectives(
-        cfg, y_tr, y_val, codes_tr, codes_val, eval_times
-    )
-    link = "identity" if cfg.task == "regression" else "sigmoid"
-    core = init_core(
-        n_bins,
-        obj_tr.out_dim,
-        cfg.kernel(),
-        init_rng,
-        embedding_dim=cfg.embedding_dim,
-        hidden_sizes=tuple(cfg.hidden_sizes),
-        activation=cfg.activation,
-        link=link,
-        mono_dir=mono_dir,
-    )
-    history = {
-        "mains": _run_phase(
-            core,
-            _Phase("mains", train_feats=True),
-            codes_tr,
-            codes_val,
-            obj_tr,
-            obj_val,
-            cfg,
-            shuffle_rng,
+    if _screened is None:
+        split = _make_split(
+            cfg, codes_tr, y_tr, codes_val, y_val, n_bins, mono_dir, eval_times, seed_seq
         )
-    }
+        rng, shuffle_rng = split.rngs()
+        core, mains = _train_mains(split, rng, shuffle_rng)
+    else:
+        split, core, mains = _screened
+        rng, shuffle_rng = split.rngs()
+    history = {"mains": mains}
     if pairs:
-        core, phist = fit_pairs(
-            core,
-            pairs,
-            codes_tr,
-            y_tr,
-            codes_val,
-            y_val,
-            cfg,
-            rng=init_rng,
-            shuffle_rng=shuffle_rng,
-            eval_times=eval_times,
-            objectives=(obj_tr, obj_val),
-        )
-        history["pairs"] = phist
+        history["pairs"] = _train_pairs(split, core, pairs, rng, shuffle_rng)
     val_losses = [h["val_loss"] for hs in history.values() for h in hs]
     val_loss = min(val_losses) if val_losses else np.inf
-    return finalize(core, codes_tr, history, val_loss)
+    return finalize(core, split.codes_tr, history, val_loss)
 
 
 def _attach_pairs(
+    split: _Split,
     core: ModelCore,
     pairs: list,
     rng: np.random.Generator,
-    cfg: TrainConfig,
     pair_gamma: float,
     trainable_gates: bool,
 ) -> None:
-    fresh = init_core(
-        core.feats.n_bins,
-        core.out_dim,
-        cfg.kernel(),
+    # The fresh core only donates its pair stack. Without monotone
+    # directions it draws no constrained final layers ahead of the pairs.
+    fresh = split.new_core(
         rng,
-        embedding_dim=cfg.embedding_dim,
-        hidden_sizes=tuple(cfg.hidden_sizes),
-        activation=cfg.activation,
-        link=core.link,
+        mono_dir=None,
         gamma=core.gamma,
         pair_gamma=pair_gamma,
         pairs=list(pairs),
@@ -669,6 +705,12 @@ def _attach_pairs(
     core.pairs = fresh.pairs
     core.pair_gamma = pair_gamma
     core.pair_gates_trainable = trainable_gates
+
+
+def _train_pairs(split: _Split, core: ModelCore, pairs: list, rng, shuffle_rng) -> list[dict]:
+    """Attach fixed-gate pairs to `core` and train them on its frozen mains."""
+    _attach_pairs(split, core, pairs, rng, core.pair_gamma, trainable_gates=False)
+    return split.run(core, _Phase("pairs", train_pairs=True), shuffle_rng)
 
 
 def fit_pairs(
@@ -693,23 +735,12 @@ def fit_pairs(
     if shuffle_rng is None:
         shuffle_rng = np.random.default_rng(cfg.seed + 1)
     if objectives is None:
-        obj_tr, obj_val, eval_times = _make_objectives(
-            cfg, y_tr, y_val, codes_tr, codes_val, eval_times
+        split = _make_split(
+            cfg, codes_tr, y_tr, codes_val, y_val, core.feats.n_bins, eval_times=eval_times
         )
     else:
-        obj_tr, obj_val = objectives
-    _attach_pairs(core, pairs, rng, cfg, core.pair_gamma, trainable_gates=False)
-    hist = _run_phase(
-        core,
-        _Phase("pairs", train_pairs=True),
-        codes_tr,
-        codes_val,
-        obj_tr,
-        obj_val,
-        cfg,
-        shuffle_rng,
-    )
-    return core, hist
+        split = _Split(cfg, codes_tr, codes_val, *objectives, core.feats.n_bins)
+    return core, _train_pairs(split, core, pairs, rng, shuffle_rng)
 
 
 # --- pair selection on the first split ----------------------------------------
@@ -723,9 +754,12 @@ def _main_importance(core: ModelCore, codes: np.ndarray) -> np.ndarray:
     return np.abs(contrib).mean(axis=(0, 2))
 
 
-def _pair_universe(core: ModelCore, codes: np.ndarray) -> list[tuple[int, int]]:
-    """All pairs, or pairs among the top 20 features by main importance."""
-    p = core.feats.n_features
+def _pair_universe(core: ModelCore | None, codes: np.ndarray) -> list[tuple[int, int]]:
+    """All pairs, or pairs among the top 20 features by main importance.
+
+    Only more than 20 features need `core`, a core with trained mains.
+    """
+    p = codes.shape[1]
     if p > 20:
         imp = _main_importance(core, codes)
         top = np.sort(np.argsort(-imp, kind="stable")[:20])
@@ -735,24 +769,21 @@ def _pair_universe(core: ModelCore, codes: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _select_pairs(
+    split: _Split,
     core: ModelCore,
-    codes_tr: np.ndarray,
-    codes_val: np.ndarray,
-    obj_tr,
-    obj_val,
-    cfg: TrainConfig,
     rng: np.random.Generator,
     shuffle_rng: np.random.Generator,
 ) -> list[tuple[int, int]]:
     """Train pair gates over the candidate universe; keep the largest."""
     from .select import default_gamma
 
-    universe = _pair_universe(core, codes_tr)
+    cfg = split.cfg
+    universe = _pair_universe(core, split.codes_tr)
     if not universe:
         return []
-    gamma = default_gamma(codes_tr.shape[0], cfg.batch_size, cfg.embedding_dim)
-    _attach_pairs(core, universe, rng, cfg, gamma / 4.0, trainable_gates=True)
-    _run_phase(
+    gamma = default_gamma(split.codes_tr.shape[0], cfg.batch_size, cfg.embedding_dim)
+    _attach_pairs(split, core, universe, rng, gamma / 4.0, trainable_gates=True)
+    split.run(
         core,
         _Phase(
             "pair-select",
@@ -761,11 +792,6 @@ def _select_pairs(
             prune=True,
             pair_reg=cfg.pair_select_reg,
         ),
-        codes_tr,
-        codes_val,
-        obj_tr,
-        obj_val,
-        cfg,
         shuffle_rng,
     )
     gates = core.pair_gates()
@@ -844,7 +870,7 @@ def fit(
     selected_feats: list[str] | None = None,
     selected_pairs: list[tuple[str, str]] | None = None,
 ) -> EnsembleModel:
-    """Fit the k-split ensemble: bins once, pairs picked on split 1.
+    """Fit the k-split ensemble: bins once, pairs screened on split 0.
 
     Each split trains on its own train/validation fold; predictions are
     averaged across splits after the link.
@@ -866,8 +892,7 @@ def fit(
     split_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_val_splits)
 
     pair_idx: list[tuple[int, int]] = []
-    prebuilt0: ModelCore | None = None
-    history0: dict = {}
+    screened = None
     if selected_pairs:
         names = feature_names
         for a, b in selected_pairs:
@@ -876,64 +901,26 @@ def fit(
         raw_idx = [(names.index(a), names.index(b)) for a, b in selected_pairs]
         pair_idx = sorted((min(a, b), max(a, b)) for a, b in raw_idx)
     elif cfg.num_pairs > 0 and len(feature_names) >= 2:
-        # Pairs are chosen once, on the first split's fitted mains.
+        # Pairs are screened once, on split 0's trained mains; split 0
+        # keeps those mains and trains the chosen pairs on top.
         tr, va = folds[0]
-        init_ss, shuffle_ss = split_seeds[0].spawn(2)
-        init_rng = np.random.default_rng(init_ss)
-        shuffle_rng = np.random.default_rng(shuffle_ss)
-        obj_tr, obj_val, eval_times = _make_objectives(
-            cfg, _slice_targets(cfg.task, y, tr), _slice_targets(cfg.task, y, va),
-            codes[tr], codes[va], eval_times,
+        split = _make_split(
+            cfg, codes[tr], y[tr], codes[va], y[va], n_bins, mono, eval_times, split_seeds[0]
         )
-        link = "identity" if cfg.task == "regression" else "sigmoid"
-        core = init_core(
-            n_bins,
-            obj_tr.out_dim,
-            cfg.kernel(),
-            init_rng,
-            embedding_dim=cfg.embedding_dim,
-            hidden_sizes=tuple(cfg.hidden_sizes),
-            activation=cfg.activation,
-            link=link,
-            mono_dir=mono,
-        )
-        history0["mains"] = _run_phase(
-            core, _Phase("mains", train_feats=True),
-            codes[tr], codes[va], obj_tr, obj_val, cfg, shuffle_rng,
-        )
-        pair_idx = _select_pairs(
-            core, codes[tr], codes[va], obj_tr, obj_val, cfg, init_rng, shuffle_rng
-        )
-        prebuilt0 = core
+        rng, shuffle_rng = split.rngs()
+        core, mains = _train_mains(split, rng, shuffle_rng)
+        pair_idx = _select_pairs(split, core, rng, shuffle_rng)
+        screened = (split, core, mains)
 
     def run_split(i: int) -> SingleSplitModel:
         tr, va = folds[i]
-        y_tr = _slice_targets(cfg.task, y, tr)
-        y_val = _slice_targets(cfg.task, y, va)
-        if i == 0 and prebuilt0 is not None:
-            init_ss, shuffle_ss = split_seeds[0].spawn(2)
-            rng = np.random.default_rng(init_ss)
-            shuffle_rng = np.random.default_rng(shuffle_ss)
-            obj_tr, obj_val, _ = _make_objectives(
-                cfg, y_tr, y_val, codes[tr], codes[va], eval_times
-            )
-            history = dict(history0)
-            if pair_idx:
-                _, phist = fit_pairs(
-                    prebuilt0, pair_idx, codes[tr], y_tr, codes[va], y_val, cfg,
-                    rng=rng, shuffle_rng=shuffle_rng, eval_times=eval_times,
-                    objectives=(obj_tr, obj_val),
-                )
-                history["pairs"] = phist
-            vals = [h["val_loss"] for hs in history.values() for h in hs]
-            return finalize(prebuilt0, codes[tr], history,
-                            min(vals) if vals else np.inf)
         return fit_single_split(
-            codes[tr], y_tr, codes[va], y_val, n_bins, cfg,
+            codes[tr], y[tr], codes[va], y[va], n_bins, cfg,
             pairs=pair_idx or None,
             eval_times=eval_times,
             mono_dir=mono,
             seed_seq=split_seeds[i],
+            _screened=screened if i == 0 else None,
         )
 
     threads = cfg.threads or min(cfg.n_val_splits, _usable_cpus())
@@ -955,10 +942,6 @@ def fit(
         n_samples=n,
         splits=splits,
     )
-
-
-def _slice_targets(task: str, y, idx: np.ndarray):
-    return y[idx]
 
 
 def predict(ensemble: EnsembleModel, table) -> np.ndarray:
