@@ -98,16 +98,18 @@ class TrainConfig:
             raise ConfigError("max_epochs must be >= 0")
         if self.early_stop_patience < 1:
             raise ConfigError("early_stop_patience must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (0 < self.learning_rate < np.inf):
+            raise ConfigError("learning_rate must be positive and finite")
         if self.num_pairs < 0:
             raise ConfigError("num_pairs must be >= 0")
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim must be >= 1")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("hidden_sizes must be positive")
-        if self.kernel_weight < 0 or self.kernel_size < 0:
-            raise ConfigError("kernel parameters must be non-negative")
+        if not (0 <= self.kernel_weight < np.inf) or self.kernel_size < 0:
+            raise ConfigError("kernel parameters must be non-negative and finite")
+        if not (0 <= self.pair_select_reg < np.inf):
+            raise ConfigError("pair_select_reg must be non-negative and finite")
         if self.censor_estimator not in ("km", "cox"):
             raise ConfigError("censor_estimator must be 'km' or 'cox'")
         for name, d in self.monotone.items():

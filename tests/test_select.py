@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import namlite
+from namlite import train
 from namlite.errors import ConfigError
 from namlite.select import (
     SelectionConfig,
@@ -23,7 +25,7 @@ from namlite.select import (
     _average_ranks,
     _rank_auc,
 )
-from namlite.train import TrainConfig
+from namlite.train import TrainConfig, fit
 
 
 def _cfg(**kw):
@@ -136,6 +138,34 @@ class TestSelectFeatures:
 
 
 # --- ranking score ----------------------------------------------------------------
+
+
+class TestManyFeaturePairUniverse:
+    def test_select_and_fit_screen_the_same_top_20(self, monkeypatch):
+        # Past 20 features, both rank features on split 0's trained mains.
+        rng = np.random.default_rng(23)
+        n = 400
+        table = {f"x{j:02d}": rng.uniform(-1, 1, n) for j in range(22)}
+        y = 3 * table["x20"] + 3 * table["x21"] + 0.1 * rng.normal(size=n)
+        cfg = _cfg(max_bins=8, max_epochs=1)
+        res = select_features(table, y, cfg, SelectionConfig(select_pairs=True))
+        candidates = set(res.pair_gate_values)
+        assert len(candidates) == 190
+        top = {f for pair in candidates for f in pair}
+        assert len(top) == 20 and {"x20", "x21"} <= top
+
+        screened = []
+        real = train._pair_universe
+
+        def recording(core, codes):
+            screened.append(real(core, codes))
+            return screened[-1]
+
+        monkeypatch.setattr(train, "_pair_universe", recording)
+        ens = fit(table, y, replace(cfg, num_pairs=1))
+        names = ens.feature_names
+        assert len(screened) == 1
+        assert {(names[a], names[b]) for a, b in screened[0]} == candidates
 
 
 def _auc_oracle(y, scores):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from namlite import train
 from namlite.core import flat_pair_codes, forward_pass, param_dict
 from namlite.data import split_folds
 from namlite.errors import ConfigError, DataError
@@ -108,6 +109,12 @@ class TestTrainConfig:
             {"task": "ranking"},
             {"n_val_splits": 1},
             {"learning_rate": 0.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"kernel_weight": float("nan")},
+            {"kernel_weight": float("inf")},
+            {"pair_select_reg": float("nan")},
+            {"pair_select_reg": -1.0},
             {"max_epochs": -1},
             {"hidden_sizes": ()},
             {"censor_estimator": "weibull"},
@@ -288,6 +295,23 @@ class TestFit:
         assert ens.pair_indices == [(0, 2)]
         for sp in ens.splits:
             assert sp.core.pairs.n_pairs == 1
+
+    def test_every_split_runs_through_fit_single_split(self, monkeypatch):
+        # Split 0 of a screened fit too: it reuses the screening mains.
+        calls = []
+        real = train.fit_single_split
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("_screened") is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train, "fit_single_split", counting)
+        rng = np.random.default_rng(18)
+        table = {c: rng.normal(size=150) for c in ("a", "b", "c")}
+        ens = fit(table, table["a"] * table["b"],
+                  _fast_cfg(n_val_splits=3, num_pairs=1, max_epochs=2))
+        assert sorted(calls) == [False, False, True]
+        assert len(ens.splits) == 3
 
     def test_pair_search_picks_interacting_pair(self):
         rng = np.random.default_rng(15)
