@@ -776,7 +776,11 @@ def _select_pairs(
     rng: np.random.Generator,
     shuffle_rng: np.random.Generator,
 ) -> list[tuple[int, int]]:
-    """Train pair gates over the candidate universe; keep the largest."""
+    """Train pair gates over the candidate universe; keep the largest open ones.
+
+    A candidate whose gate closed to exactly 0 is never kept, so fewer
+    than `num_pairs` pairs, or none, may come back.
+    """
     from .select import default_gamma
 
     cfg = split.cfg
@@ -797,7 +801,8 @@ def _select_pairs(
         shuffle_rng,
     )
     gates = core.pair_gates()
-    order = sorted(range(len(universe)), key=lambda i: (-gates[i], universe[i]))
+    open_ = [i for i in range(len(universe)) if gates[i] > 0]
+    order = sorted(open_, key=lambda i: (-gates[i], universe[i]))
     chosen = sorted(universe[i] for i in order[: cfg.num_pairs])
     core.pairs = None
     core.pair_gates_trainable = False

@@ -321,6 +321,16 @@ class TestFit:
         ens = fit(table, y, cfg)
         assert ens.selected_pairs == [("a", "b")]
 
+    def test_screening_keeps_no_pair_whose_gate_closed(self):
+        rng = np.random.default_rng(19)
+        table = {c: rng.normal(size=200) for c in ("a", "b", "c")}
+        ens = fit(table, rng.normal(size=200),
+                  _fast_cfg(num_pairs=2, pair_select_reg=10.0, max_epochs=3))
+        assert ens.selected_pairs == []
+        for sp in ens.splits:
+            assert sp.core.pairs is None
+            assert list(sp.history) == ["mains"]
+
     def test_monotone_name_validation(self):
         rng = np.random.default_rng(16)
         table = self._table(rng, 80)
