@@ -109,17 +109,17 @@ class TestTrainConfig:
             {"task": "ranking"},
             {"n_val_splits": 1},
             {"learning_rate": 0.0},
+            {"max_epochs": -1},
+            {"hidden_sizes": ()},
+            {"censor_estimator": "weibull"},
+            {"monotone": {"x": 2}},
+            {"task": "survival", "monotone": {"x": 1}},
             {"learning_rate": float("nan")},
             {"learning_rate": float("inf")},
             {"kernel_weight": float("nan")},
             {"kernel_weight": float("inf")},
             {"pair_select_reg": float("nan")},
             {"pair_select_reg": -1.0},
-            {"max_epochs": -1},
-            {"hidden_sizes": ()},
-            {"censor_estimator": "weibull"},
-            {"monotone": {"x": 2}},
-            {"task": "survival", "monotone": {"x": 1}},
         ],
     )
     def test_validate_rejects(self, kw):
