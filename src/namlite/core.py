@@ -220,7 +220,7 @@ def _link(eta: np.ndarray, link: str) -> np.ndarray:
 # --- per-bin tables ----------------------------------------------------------
 
 
-def _mlp_tables(emb, smooth_lhs, weights, activation):
+def _mlp_tables(smooth_lhs, weights, activation):
     """Smooth the table, then run the subnetwork on every bin row."""
     h = smooth_lhs
     hidden = []
@@ -249,7 +249,7 @@ def _apply_monotone(raw: np.ndarray, stack: FeatureStack) -> np.ndarray:
 def bin_tables(core: ModelCore) -> np.ndarray:
     """Ungated per-bin outputs for every feature: (p, M, out)."""
     sm = core.feats.smooth @ core.feats.emb
-    raw, _ = _mlp_tables(core.feats.emb, sm, core.feats.weights, core.activation)
+    raw, _ = _mlp_tables(sm, core.feats.weights, core.activation)
     return _apply_monotone(raw, core.feats)
 
 
@@ -275,7 +275,7 @@ def pair_bin_tables(core: ModelCore) -> np.ndarray:
     if core.pairs is None or core.pairs.n_pairs == 0:
         return np.zeros((0, 0, core.out_dim))
     sm = _pair_smooth(core.pairs)
-    raw, _ = _mlp_tables(core.pairs.emb, sm, core.pairs.weights, core.activation)
+    raw, _ = _mlp_tables(sm, core.pairs.weights, core.activation)
     return raw
 
 
@@ -363,9 +363,7 @@ def forward_pass(
     hidden = None
     if compute_feats:
         sm = core.feats.smooth @ core.feats.emb
-        raw_tabs, hidden = _mlp_tables(
-            core.feats.emb, sm, core.feats.weights, core.activation
-        )
+        raw_tabs, hidden = _mlp_tables(sm, core.feats.weights, core.activation)
         tabs = _apply_monotone(raw_tabs, core.feats)
         p = core.feats.n_features
         vals = tabs[np.arange(p)[None, :], codes]  # (B, p, out)
@@ -376,9 +374,7 @@ def forward_pass(
         if pair_codes is None:
             pair_codes = flat_pair_codes(core, codes)
         psm = _pair_smooth(core.pairs)
-        ptabs, phidden = _mlp_tables(
-            core.pairs.emb, psm, core.pairs.weights, core.activation
-        )
+        ptabs, phidden = _mlp_tables(psm, core.pairs.weights, core.activation)
         q = core.pairs.n_pairs
         pvals = ptabs[np.arange(q)[None, :], pair_codes]
         eta = eta + np.einsum("bqo,q->bo", pvals, core.pair_gates())

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import bin_tables, flat_pair_codes, pair_bin_tables
+from .core import flat_pair_codes
 from .data import transform
 from .errors import ConfigError, DataError
 from .survival import CalibrationBin, as_survival_labels, calibration_table
@@ -127,12 +127,15 @@ def _metadata(ens: EnsembleModel, **extra) -> dict:
 
 
 def _time_indices(ens: EnsembleModel, eval_times) -> list[int]:
+    """Grid indices nearest the requested times; all of them when None."""
     if ens.task != "survival":
         return [0]
     grid = ens.eval_times
     if eval_times is None:
         return list(range(grid.size))
     wanted = np.atleast_1d(np.asarray(eval_times, dtype=np.float64))
+    if not np.all(np.isfinite(wanted)):
+        raise ConfigError(f"eval times must be finite, got {wanted.tolist()}")
     return [int(np.argmin(np.abs(grid - t))) for t in wanted]
 
 
@@ -160,10 +163,8 @@ def _split_scores(
     magnitude of its missing-bin output; for a pair it is the mean over
     samples that hit any missing cell.
     """
-    core = sp.core
-    p = core.feats.n_features
-    tabs = bin_tables(core)  # (p, M, out)
-    gated = core.gates()[:, None, None] * tabs - sp.c_feat[:, None, :]
+    gated, pgated = sp.tables()  # (p, M, out), (q, M*M, out)
+    p = gated.shape[0]
     contrib = np.abs(gated[np.arange(p)[None, :], codes]).mean(axis=2)  # (n, p)
     observed = codes > 0
     scores = np.zeros(p)
@@ -173,15 +174,13 @@ def _split_scores(
         col = contrib[inc, j]
         scores[j] = col.mean() if col.size else 0.0
         missing[j] = np.abs(gated[j, 0]).mean()
-    q = 0 if core.pairs is None else core.pairs.n_pairs
+    q = pgated.shape[0]
     pscores = np.zeros(q)
     pmissing = np.zeros(q)
     if q:
-        ptabs = pair_bin_tables(core)  # (q, M*M, out)
-        pgated = core.pair_gates()[:, None, None] * ptabs - sp.c_pair[:, None, :]
-        pc = flat_pair_codes(core, codes)
+        pc = flat_pair_codes(sp.core, codes)
         pcontrib = np.abs(pgated[np.arange(q)[None, :], pc]).mean(axis=2)
-        for k, (ja, jb) in enumerate(core.pairs.pairs):
+        for k, (ja, jb) in enumerate(sp.core.pairs.pairs):
             both = observed[:, ja] & observed[:, jb]
             inc = slice(None) if mode == "include" else both
             col = pcontrib[inc, k]
@@ -281,13 +280,7 @@ def shape_function(
     nb = bm.n_bins + 1
     lo = 0 if include_missing else 1
     labels = [bm.label(i) for i in range(lo, nb)]
-    per_split = []
-    for sp in ens.splits:
-        tabs = bin_tables(sp.core)  # (p, M, out)
-        g = sp.core.gates()[j]
-        vals = g * tabs[j, :nb] - sp.c_feat[j][None, :]  # (nb, out)
-        per_split.append(vals[lo:])
-    stacked = np.stack(per_split)  # (k, nb-lo, out)
+    stacked = np.stack([sp.tables()[0][j, lo:nb] for sp in ens.splits])  # (k, nb-lo, out)
     blocks = []
     grid = ens.eval_times
     for t_idx in _time_indices(ens, eval_times):
@@ -335,22 +328,16 @@ def pair_shape_function(
     nbb = ens.bin_maps[jb].n_bins + 1
     if ens.task == "survival":
         grid = ens.eval_times
-        t_idx = (
-            grid.size // 2
-            if eval_time is None
-            else int(np.argmin(np.abs(grid - float(eval_time))))
-        )
+        if eval_time is None:
+            t_idx = grid.size // 2
+        else:
+            (t_idx,) = _time_indices(ens, float(eval_time))
         t_out = float(grid[t_idx])
     else:
         t_idx, t_out = 0, None
-    per_split = []
-    for sp in ens.splits:
-        core = sp.core
-        M = core.feats.emb.shape[1]
-        ptabs = pair_bin_tables(core)[q, :, t_idx].reshape(M, M)
-        g = core.pair_gates()[q]
-        per_split.append(g * ptabs[:nba, :nbb] - sp.c_pair[q, t_idx])
-    mean = np.mean(per_split, axis=0)
+    M = ens.splits[0].core.feats.padded
+    surfaces = [sp.tables()[1][q, :, t_idx].reshape(M, M)[:nba, :nbb] for sp in ens.splits]
+    mean = np.mean(surfaces, axis=0)
     meta = _metadata(ens, pair=[key[0], key[1]], eval_time=t_out)
     return PairShapeExport(
         feature_a=key[0],

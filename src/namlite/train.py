@@ -575,12 +575,37 @@ def _train_mains(split: _Split, rng, shuffle_rng) -> tuple[ModelCore, list[dict]
 
 @dataclass
 class SingleSplitModel:
+    """One finalized split: `beta0` plus gated, centered per-bin tables.
+
+    `tables()` compiles those tables from the core on first use and keeps
+    them in `_tables`, an attribute that is not a dataclass field, so the
+    persisted weights stay the only saved state. A finalized split is
+    never edited in place: an edit made after the first `tables()` call
+    (any predict or explain export) is not seen by later calls. Concurrent
+    first calls only repeat identical work.
+    """
+
     core: ModelCore
     beta0: np.ndarray  # (out,)
     c_feat: np.ndarray  # (p, out)
     c_pair: np.ndarray  # (q, out)
     history: dict
     val_loss: float
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centered gated outputs per bin, (p, M, out), and per pair cell, (q, M*M, out)."""
+        compiled = getattr(self, "_tables", None)
+        if compiled is None:
+            core = self.core
+            feat = core.gates()[:, None, None] * bin_tables(core) - self.c_feat[:, None, :]
+            if core.pairs is not None and core.pairs.n_pairs > 0:
+                ptabs = pair_bin_tables(core)
+                pair = core.pair_gates()[:, None, None] * ptabs - self.c_pair[:, None, :]
+            else:
+                pair = np.zeros((0, 0, core.out_dim))
+            feat.flags.writeable = pair.flags.writeable = False
+            compiled = self._tables = (feat, pair)
+        return compiled
 
     def predict_linked(self, codes: np.ndarray) -> np.ndarray:
         """Centered-route prediction g(beta0 + sum of centered contributions)."""
@@ -590,19 +615,11 @@ class SingleSplitModel:
         return eta
 
     def predict_eta(self, codes: np.ndarray) -> np.ndarray:
-        core = self.core
-        tabs = bin_tables(core)
-        p = core.feats.n_features
-        vals = tabs[np.arange(p)[None, :], codes]
-        eta = self.beta0[None, :] - self.c_feat.sum(axis=0)[None, :]
-        eta = eta + np.einsum("bpo,p->bo", vals, core.gates())
-        if core.pairs is not None and core.pairs.n_pairs > 0:
-            ptabs = pair_bin_tables(core)
-            pc = flat_pair_codes(core, codes)
-            q = core.pairs.n_pairs
-            pvals = ptabs[np.arange(q)[None, :], pc]
-            eta = eta - self.c_pair.sum(axis=0)[None, :]
-            eta = eta + np.einsum("bqo,q->bo", pvals, core.pair_gates())
+        feat, pair = self.tables()
+        eta = self.beta0 + np.einsum("bpo->bo", feat[np.arange(feat.shape[0]), codes])
+        if pair.shape[0]:
+            pc = flat_pair_codes(self.core, codes)
+            eta = eta + np.einsum("bqo->bo", pair[np.arange(pair.shape[0]), pc])
         return eta
 
 

@@ -1,13 +1,16 @@
 """Importance scores, shape exports, calibration, and SVG/CSV rendering."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from namlite import core
 from namlite.errors import ConfigError, DataError
 from namlite.explain import (
+    IMPORTANCE_MODES,
     ImportanceEntry,
     ImportanceReport,
     calibration,
@@ -21,6 +24,7 @@ from namlite.explain import (
     shape_function,
     shape_to_csv,
 )
+from namlite.persist import dumps_model, loads_model, model_hash
 from namlite.train import TrainConfig, fit
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -288,6 +292,60 @@ class TestCalibration:
         ens, table = hand
         with pytest.raises(ConfigError):
             calibration(ens, table, ([True], [1.0]))
+
+
+_TIMED_EXPORTS = {
+    "shape": lambda ens, table, labels, t: shape_function(ens, "a", eval_times=[t]),
+    "pair": lambda ens, table, labels, t: pair_shape_function(ens, "a", "b", eval_time=t),
+    "calibration": lambda ens, table, labels, t: calibration(ens, table, labels, eval_times=[t]),
+}
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("export", sorted(_TIMED_EXPORTS))
+def test_non_finite_eval_time_rejected(export, t, surv_ens):
+    # argmin over all-NaN or all-inf distances would pick grid time 0.
+    with pytest.raises(ConfigError, match="finite"):
+        _TIMED_EXPORTS[export](*surv_ens, t)
+
+
+# --- compiled tables ---------------------------------------------------------------
+
+
+class TestCompiledTables:
+    def test_reads_after_first_predict_rebuild_no_tables(self, pair_ens, monkeypatch):
+        ens, table = pair_ens
+        ens = loads_model(dumps_model(ens))  # a copy with nothing compiled yet
+        saved, digest = dumps_model(ens), model_hash(ens)
+        ens.predict(table)
+        assert dumps_model(ens) == saved
+        assert model_hash(ens) == digest
+
+        calls = []
+        for name in ("bin_tables", "pair_bin_tables"):
+            real = getattr(core, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("namlite") and getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, counting)
+        ens.predict(table)
+        ens.predict({k: v[:1] for k, v in table.items()})
+        for mode in IMPORTANCE_MODES:
+            feature_importance(ens, table, mode=mode)
+        for feat in ens.feature_names:
+            shape_function(ens, feat)
+        pair_shape_function(ens, "a", "b")
+        assert calls == []
+
+    def test_tables_are_read_only(self, pair_ens):
+        ens, _ = pair_ens
+        for table in ens.splits[0].tables():
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 # --- text exports ------------------------------------------------------------------

@@ -337,6 +337,29 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(table, table["x1"], _fast_cfg(monotone={"zz": 1}, max_epochs=1))
 
+    @pytest.mark.parametrize("case", ["monotone", "pair", "survival"])
+    def test_single_row_predict_equals_batch_row(self, case):
+        rng = np.random.default_rng(20)
+        n = 120
+        table = {"x1": rng.normal(size=n), "x2": rng.normal(size=n)}
+        table["x2"][::9] = np.nan  # rows through the missing bin too
+        pairs = None
+        if case == "monotone":
+            y, cfg = table["x1"], _fast_cfg(monotone={"x1": 1}, max_epochs=3)
+        elif case == "pair":
+            y = (table["x1"] * np.nan_to_num(table["x2"]) > 0).astype(float)
+            cfg, pairs = _fast_cfg(task="classification", max_epochs=3), [("x1", "x2")]
+        else:
+            t = rng.exponential(np.exp(-0.5 * table["x1"])) + 0.01
+            y = {"event": t <= 1.5, "time": np.minimum(t, 1.5)}
+            cfg = _fast_cfg(task="survival", n_eval_times=4, max_epochs=3)
+        ens = fit(table, y, cfg, selected_pairs=pairs)
+        batch = predict(ens, table)
+        rows = np.stack([predict(ens, {k: v[i : i + 1] for k, v in table.items()})[0]
+                         for i in range(n)])
+        assert rows.shape == batch.shape
+        np.testing.assert_allclose(rows, batch, rtol=0, atol=1e-12)
+
     def test_survival_label_length_mismatch(self):
         rng = np.random.default_rng(17)
         table = self._table(rng, 50)
