@@ -1,19 +1,33 @@
-"""Print a JSON fingerprint of namlite's training outputs.
+"""Print a JSON fingerprint of namlite's training outputs, or compare two.
 
     python scripts/output_fingerprint.py > fingerprint.json
+    python scripts/output_fingerprint.py --probe > probe.json
+    python scripts/output_fingerprint.py --compare before.json after.json
 
 Fits small seeded models on synthetic data and records, for each, the
 ``model_hash``; it also records every gate value of ``select_features``
 and every ``regularization_path`` record. Floats are written with
 ``repr``, so two checkouts whose outputs are bit-identical print
 byte-identical JSON. Run it in both and ``cmp`` the files to check that
-a refactor left training unchanged. It imports namlite from the ``src``
-directory next to this script, not from an installed copy.
+a refactor left training unchanged.
+
+A change that reorders float sums moves results in the last bits and
+every hash with them. ``--probe`` prints, for the same fits, their
+predictions on a fixed probe table and their selected features and
+pairs instead of the hash, and the same gates and path records as
+numbers. ``--compare`` applies the pass rule to two such files: every
+name, count and selection is identical, and every float is within
+``TOLERANCE``. It exits 0 on a pass and 1 otherwise.
+
+The script imports namlite from the ``src`` directory next to it, not
+from an installed copy.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -30,6 +44,9 @@ from namlite.survival import as_survival_labels  # noqa: E402
 
 BASE = dict(n_val_splits=3, batch_size=64, max_epochs=4, early_stop_patience=2,
             embedding_dim=4, hidden_sizes=(8,), max_bins=8, seed=7)
+
+# Largest absolute difference the compare mode allows between two floats.
+TOLERANCE = 1e-12
 
 
 def _table(rng, n: int, p: int) -> dict:
@@ -49,11 +66,19 @@ def _data(seed: int, n: int, p: int):
     return table, reg, cls, surv
 
 
+def _probe_table(p: int) -> dict:
+    """Fixed rows to predict on: out-of-range values included, row 0 all missing."""
+    table = {k: 1.2 * v for k, v in _table(np.random.default_rng(2024), 32, p).items()}
+    for col in table.values():
+        col[0] = np.nan
+    return table
+
+
 def _cfg(**kw) -> nl.TrainConfig:
     return nl.TrainConfig(**{**BASE, **kw})
 
 
-def _fits() -> dict:
+def _fits(probe: bool) -> dict:
     table, reg, cls, surv = _data(0, 400, 5)
     wide, wide_reg, _, _ = _data(1, 300, 22)
     runs = {
@@ -71,52 +96,127 @@ def _fits() -> dict:
     out = {}
     for name, (tab, y, cfg, pairs) in runs.items():
         ens = nl.fit(tab, y, cfg, selected_pairs=pairs)
-        out[name] = {"model_hash": nl.model_hash(ens),
-                     "selected_pairs": [list(p) for p in ens.selected_pairs]}
+        pairs_out = [list(p) for p in ens.selected_pairs]
+        if probe:
+            preds = ens.predict(_probe_table(len(tab)))
+            out[name] = {"predictions": preds.tolist(), "selected_feats": ens.feature_names,
+                         "selected_pairs": pairs_out}
+        else:
+            out[name] = {"model_hash": nl.model_hash(ens), "selected_pairs": pairs_out}
     return out
 
 
-def _gates(res) -> dict:
+def _gates(res, num) -> dict:
     return {
         "selected_feats": res.selected_feats,
         "selected_pairs": [list(p) for p in res.selected_pairs],
-        "gate_values": {k: repr(v) for k, v in res.gate_values.items()},
-        "pair_gate_values": {f"{a}*{b}": repr(v) for (a, b), v in res.pair_gate_values.items()},
+        "gate_values": {k: num(v) for k, v in res.gate_values.items()},
+        "pair_gate_values": {f"{a}*{b}": num(v) for (a, b), v in res.pair_gate_values.items()},
     }
 
 
-def _selections() -> dict:
+def _selections(num) -> dict:
     table, reg, cls, surv = _data(0, 400, 5)
     wide, wide_reg, _, _ = _data(1, 300, 22)
     pairs = nl.SelectionConfig(reg_param=1e-3, pair_reg_param=1e-3, select_pairs=True)
     return {
-        "cls_pairs": _gates(nl.select_features(table, cls, _cfg(task="classification"), pairs)),
+        "cls_pairs": _gates(nl.select_features(table, cls, _cfg(task="classification"), pairs),
+                            num),
         "surv_pairs": _gates(nl.select_features(
-            table, surv, _cfg(task="survival", n_eval_times=5, censor_estimator="cox"), pairs)),
+            table, surv, _cfg(task="survival", n_eval_times=5, censor_estimator="cox"), pairs),
+            num),
         "reg_pairs_22_features": _gates(nl.select_features(
-            wide, wide_reg, _cfg(max_epochs=2), pairs)),
+            wide, wide_reg, _cfg(max_epochs=2), pairs), num),
     }
 
 
-def _records(path) -> list:
-    return [[repr(r.reg_param), r.num_feats, repr(r.val_loss), repr(r.val_score),
+def _records(path, num) -> list:
+    return [[num(r.reg_param), r.num_feats, num(r.val_loss), num(r.val_score),
              list(r.selected_feats)] for r in path.records]
 
 
-def _paths() -> dict:
+def _paths(num) -> dict:
     table, reg, cls, _ = _data(0, 400, 5)
     pairs = nl.SelectionConfig(reg_param=1e-3, pair_reg_param=1e-3, select_pairs=True)
     return {
-        "reg": _records(nl.regularization_path(table, reg, _cfg(), 1e-4, max_steps=8)),
+        "reg": _records(nl.regularization_path(table, reg, _cfg(), 1e-4, max_steps=8), num),
         "cls_pairs": _records(nl.regularization_path(
-            table, cls, _cfg(task="classification"), 1e-4, pairs, max_steps=8)),
+            table, cls, _cfg(task="classification"), 1e-4, pairs, max_steps=8), num),
     }
 
 
-def main() -> int:
-    doc = {"fits": _fits(), "select_features": _selections(),
-           "regularization_path": _paths()}
-    print(json.dumps(doc, indent=1, sort_keys=True))
+def fingerprint(probe: bool = False) -> dict:
+    """The whole document: hashes (exact mode) or probe predictions, gates, paths."""
+    num = float if probe else repr
+    return {"fits": _fits(probe), "select_features": _selections(num),
+            "regularization_path": _paths(num)}
+
+
+def compare(a, b, tol: float = TOLERANCE) -> tuple[list[str], float]:
+    """Where two probe documents break the pass rule, and the largest float gap.
+
+    Floats may differ by at most `tol` (equal infinities and two NaNs
+    match). Everything else must be identical: keys, list lengths,
+    strings such as feature names, and integers such as feature counts.
+    """
+    problems: list[str] = []
+    worst = [0.0]
+
+    def walk(x, y, where: str) -> None:
+        if isinstance(x, dict) and isinstance(y, dict):
+            if x.keys() != y.keys():
+                problems.append(f"{where}: keys {sorted(x)} != {sorted(y)}")
+                return
+            for k in sorted(x):
+                walk(x[k], y[k], f"{where}.{k}")
+        elif isinstance(x, list) and isinstance(y, list):
+            if len(x) != len(y):
+                problems.append(f"{where}: length {len(x)} != {len(y)}")
+                return
+            for i, (u, v) in enumerate(zip(x, y)):
+                walk(u, v, f"{where}[{i}]")
+        elif isinstance(x, float) and isinstance(y, float):
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                return
+            gap = abs(x - y)
+            worst[0] = max(worst[0], gap) if not math.isnan(gap) else math.inf
+            if not gap <= tol:
+                problems.append(f"{where}: {x!r} vs {y!r} (gap {gap:.3g} > {tol:g})")
+        elif type(x) is not type(y) or x != y:
+            problems.append(f"{where}: {x!r} != {y!r}")
+
+    walk(a, b, "")
+    return problems, worst[0]
+
+
+def _compare_files(before: str, after: str) -> int:
+    docs = [json.loads(Path(p).read_text()) for p in (before, after)]
+    problems, worst = compare(*docs)
+    for section in sorted(docs[0]):
+        if section in docs[1]:
+            _, gap = compare(docs[0][section], docs[1][section])
+            print(f"{section}: largest float gap {gap:.3g}")
+    for line in problems[:20]:
+        print(f"  {line}")
+    if problems:
+        print(f"FAIL: {len(problems)} differences (largest float gap {worst:.3g}, "
+              f"tolerance {TOLERANCE:g})")
+        return 1
+    print(f"PASS: selections identical, largest float gap {worst:.3g} <= {TOLERANCE:g}")
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--probe", action="store_true",
+                      help="print predictions, selections, gates and paths as numbers")
+    mode.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                      help="check two --probe files against the pass rule")
+    args = ap.parse_args(argv)
+    if args.compare:
+        return _compare_files(*args.compare)
+    print(json.dumps(fingerprint(args.probe), indent=1, sort_keys=True))
     return 0
 
 
