@@ -402,7 +402,7 @@ def _mlp_backward(d_raw, sm, hidden, weights, activation):
     for l in range(len(weights) - 1, -1, -1):
         W, _ = weights[l]
         a_in = acts[l]
-        dW = np.einsum("pmi,pmo->pio", a_in, dh)
+        dW = a_in.transpose(0, 2, 1) @ dh
         db = dh.sum(axis=1)
         grads.append((dW, db))
         dh = dh @ W.transpose(0, 2, 1)
