@@ -5,10 +5,20 @@ to a common bin count M so forward and backward are batched matrix
 products across features. Padding rows are never indexed by data and
 their smoothing-operator rows are zero, so they receive no gradient and
 stay at their initial values.
+
+Every learnable array of a stack is a view into the stack's `flat`
+vector, in the order of its `learnable()` list. A `ModelCore` packs both
+of its stacks into one float64 buffer when it is built, so `param_dict`
+views stay live, gradients come back in the same layout, and the
+optimizer and the early-stopping snapshots work on whole vectors. The
+arrays are edited in place only and never rebound: an array assigned
+over a stack's field is no longer seen by training. A pair stack
+attached to a core after it was built keeps the buffer it came in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +46,9 @@ __all__ = [
     "forward_pass",
     "backward_pass",
     "init_core",
+    "flat_views",
     "param_dict",
+    "param_spans",
     "copy_params",
     "load_params",
     "sigmoid",
@@ -134,6 +146,27 @@ def pair_smoothed_embedding(pair_tables, pair, indices, cfg: KernelConfig) -> np
 # --- parameter containers ----------------------------------------------------
 
 
+def flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the 1-D `flat`, one per shape, from its start."""
+    views, start = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(flat[start : start + n].reshape(shape))
+        start += n
+    return views
+
+
+def _layer_arrays(prefix: str, weights) -> list[tuple[str, np.ndarray]]:
+    out = []
+    for l, (W, b) in enumerate(weights):
+        out += [(f"{prefix}_W{l}", W), (f"{prefix}_b{l}", b)]
+    return out
+
+
+def _layers_from(views) -> list[tuple[np.ndarray, np.ndarray]]:
+    return list(zip(views[0::2], views[1::2]))
+
+
 @dataclass
 class FeatureStack:
     emb: np.ndarray  # (p, M, d)
@@ -144,6 +177,7 @@ class FeatureStack:
     mono_dir: np.ndarray  # (p,) in {-1, 0, +1}
     mono_off: np.ndarray  # (p,)
     active: np.ndarray  # (p,) bool
+    flat: np.ndarray | None = field(default=None, repr=False)  # set by ModelCore
 
     @property
     def n_features(self) -> int:
@@ -152,6 +186,19 @@ class FeatureStack:
     @property
     def padded(self) -> int:
         return int(self.emb.shape[1])
+
+    def learnable(self) -> list[tuple[str, np.ndarray]]:
+        """Trainable arrays by `param_dict` name, in `flat` order.
+
+        The offsets lead and the gates trail, so every training phase's
+        keys are adjacent: with or without monotone offsets or gates.
+        """
+        return ([("feat_off", self.mono_off), ("feat_emb", self.emb)]
+                + _layer_arrays("feat", self.weights) + [("feat_mu", self.mu)])
+
+    def _bind(self, views: list[np.ndarray]) -> None:
+        self.mono_off, self.emb, *layers, self.mu = views
+        self.weights = _layers_from(layers)
 
 
 @dataclass
@@ -163,14 +210,47 @@ class PairStack:
     smooth_a: np.ndarray  # (q, M, M)
     smooth_b: np.ndarray  # (q, M, M)
     active: np.ndarray  # (q,) bool
+    flat: np.ndarray | None = field(default=None, repr=False)  # set by ModelCore
 
     @property
     def n_pairs(self) -> int:
         return int(self.emb.shape[0])
 
+    def learnable(self) -> list[tuple[str, np.ndarray]]:
+        """Trainable arrays by `param_dict` name, in `flat` order (gates last)."""
+        return [("pair_emb", self.emb)] + _layer_arrays("pair", self.weights) + [("pair_mu", self.mu)]
+
+    def _bind(self, views: list[np.ndarray]) -> None:
+        self.emb, *layers, self.mu = views
+        self.weights = _layers_from(layers)
+
+
+def _pack(*stacks) -> None:
+    """Copy the stacks' learnable arrays into one new vector and rebind them as views.
+
+    Each stack's `flat` becomes its section of the vector, in the order given.
+    """
+    arrays = [[a for _, a in s.learnable()] for s in stacks]
+    sizes = [sum(a.size for a in arrs) for arrs in arrays]
+    buf = np.empty(sum(sizes))
+    start = 0
+    for stack, arrs, size in zip(stacks, arrays, sizes):
+        stack.flat = buf[start : start + size]
+        views = flat_views(stack.flat, [a.shape for a in arrs])
+        for view, a in zip(views, arrs):
+            view[...] = a
+        stack._bind(views)
+        start += size
+
 
 @dataclass
 class ModelCore:
+    """Feature and pair stacks plus the gate and output settings.
+
+    Building one moves the learnable arrays of both stacks into one
+    float64 buffer (the module docstring has the contract).
+    """
+
     feats: FeatureStack
     pairs: PairStack | None
     gamma: float
@@ -181,6 +261,9 @@ class ModelCore:
     gates_trainable: bool = False
     pair_gates_trainable: bool = False
     beta0: np.ndarray = field(default_factory=lambda: np.zeros(1))
+
+    def __post_init__(self) -> None:
+        _pack(*_stacks(self))
 
     def gates(self) -> np.ndarray:
         return smooth_step(self.feats.mu, self.gamma) * self.feats.active
@@ -261,13 +344,14 @@ def _pair_smooth(pairs: PairStack) -> np.ndarray:
     return sm2.reshape(q, M * M, d)
 
 
-def _pair_smooth_backward(pairs: PairStack, dsm: np.ndarray) -> np.ndarray:
+def _pair_smooth_backward(pairs: PairStack, dsm: np.ndarray, out: np.ndarray) -> None:
+    """Gradient of `_pair_smooth` with respect to the pair embeddings, into `out`."""
     q, M, _, d = pairs.emb.shape
     dsm = dsm.reshape(q, M, M, d)
     t = dsm.transpose(0, 2, 1, 3).reshape(q, M, M * d)
     d1 = (pairs.smooth_b.transpose(0, 2, 1) @ t).reshape(q, M, M, d)
     d1 = d1.transpose(0, 2, 1, 3).reshape(q, M, M * d)
-    return (pairs.smooth_a.transpose(0, 2, 1) @ d1).reshape(q, M, M, d)
+    np.matmul(pairs.smooth_a.transpose(0, 2, 1), d1, out=out.reshape(q, M, M * d))
 
 
 def pair_bin_tables(core: ModelCore) -> np.ndarray:
@@ -394,24 +478,21 @@ def forward_pass(
     )
 
 
-def _mlp_backward(d_raw, sm, hidden, weights, activation):
-    """Gradients of the per-bin MLP; returns (dW list, dsm)."""
+def _mlp_backward(d_raw, sm, hidden, weights, activation, out):
+    """Gradients of the per-bin MLP into `out`, one (dW, db) per layer; returns dsm."""
     acts = [sm] + hidden
-    grads = []
     dh = d_raw
     for l in range(len(weights) - 1, -1, -1):
         W, _ = weights[l]
-        a_in = acts[l]
-        dW = a_in.transpose(0, 2, 1) @ dh
-        db = dh.sum(axis=1)
-        grads.append((dW, db))
+        dW, db = out[l]
+        np.matmul(acts[l].transpose(0, 2, 1), dh, out=dW)
+        dh.sum(axis=1, out=db)
         dh = dh @ W.transpose(0, 2, 1)
         if l > 0:
             if activation == "relu":
                 dh = dh * (acts[l] > 0)
             # identity: pass through
-    grads.reverse()
-    return grads, dh
+    return dh
 
 
 def _scatter_bins(d_vals: np.ndarray, codes: np.ndarray, M: int) -> np.ndarray:
@@ -432,24 +513,28 @@ def backward_pass(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of (batch loss + gate regularizer) per parameter.
 
-    beta0 is excluded by construction; it is set after training from the
-    centering constants, never by gradient descent.
+    Each trained stack's gradients fill one vector laid out like its
+    `flat`, returned under "feat" or "pair"; the per-parameter entries
+    are views of it. beta0 is excluded by construction; it is set after
+    training from the centering constants, never by gradient descent.
     """
     grads: dict[str, np.ndarray] = {}
     feats = core.feats
     if cache.vals is not None:
+        g = _grad_views(grads, "feat", feats)
         gates = core.gates()
         sgrad = smooth_step_grad(feats.mu, core.gamma) * feats.active
         d_gate = np.einsum("bo,bpo->p", d_eta, cache.vals)
         if core.gates_trainable:
-            grads["feat_mu"] = d_gate * sgrad + reg_param * sgrad
+            g["feat_mu"][...] = d_gate * sgrad + reg_param * sgrad
         else:
-            grads["feat_mu"] = np.zeros_like(feats.mu)
+            g["feat_mu"][...] = 0.0
         d_vals = d_eta[:, None, :] * gates[None, :, None]
         d_tabs = _scatter_bins(d_vals, cache.codes, feats.padded)
         # Undo the monotone transform where it applies.
         d_raw = d_tabs
-        d_off = np.zeros_like(feats.mono_off)
+        d_off = g["feat_off"]
+        d_off[...] = 0.0
         idx = np.flatnonzero(feats.mono_dir)
         if idx.size:
             d_raw = d_tabs.copy()
@@ -461,37 +546,44 @@ def backward_pass(
                 tail = np.cumsum(dout[1:][::-1])[::-1]
                 d_raw[j, 1 : n + 1, 0] = d * 2.0 * r * tail
                 d_off[j] = dout.sum()
-        grads["feat_off"] = d_off
-        layer_grads, dsm = _mlp_backward(
-            d_raw, cache.sm, cache.hidden, feats.weights, core.activation
+        dsm = _mlp_backward(
+            d_raw, cache.sm, cache.hidden, feats.weights, core.activation,
+            _layers_from([g[name] for name, _ in _layer_arrays("feat", feats.weights)]),
         )
-        for l, (dW, db) in enumerate(layer_grads):
-            grads[f"feat_W{l}"] = dW
-            grads[f"feat_b{l}"] = db
-        grads["feat_emb"] = feats.smooth.transpose(0, 2, 1) @ dsm
+        np.matmul(feats.smooth.transpose(0, 2, 1), dsm, out=g["feat_emb"])
     if cache.pvals is not None:
         pairs = core.pairs
+        g = _grad_views(grads, "pair", pairs)
         pg = core.pair_gates()
         psgrad = smooth_step_grad(pairs.mu, core.pair_gamma) * pairs.active
         d_pgate = np.einsum("bo,bqo->q", d_eta, cache.pvals)
         if core.pair_gates_trainable:
-            grads["pair_mu"] = d_pgate * psgrad + pair_reg_param * psgrad
+            g["pair_mu"][...] = d_pgate * psgrad + pair_reg_param * psgrad
         else:
-            grads["pair_mu"] = np.zeros_like(pairs.mu)
+            g["pair_mu"][...] = 0.0
         d_pvals = d_eta[:, None, :] * pg[None, :, None]
         M2 = pairs.emb.shape[1] * pairs.emb.shape[2]
         d_ptabs = _scatter_bins(d_pvals, cache.pair_codes, M2)
-        layer_grads, dpsm = _mlp_backward(
-            d_ptabs, cache.psm, cache.phidden, pairs.weights, core.activation
+        dpsm = _mlp_backward(
+            d_ptabs, cache.psm, cache.phidden, pairs.weights, core.activation,
+            _layers_from([g[name] for name, _ in _layer_arrays("pair", pairs.weights)]),
         )
-        for l, (dW, db) in enumerate(layer_grads):
-            grads[f"pair_W{l}"] = dW
-            grads[f"pair_b{l}"] = db
-        grads["pair_emb"] = _pair_smooth_backward(pairs, dpsm)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        _pair_smooth_backward(pairs, dpsm, g["pair_emb"])
+    for prefix in ("feat", "pair"):
+        if prefix in grads and not np.all(np.isfinite(grads[prefix])):
+            name = next(k for k, v in grads.items()
+                        if k.startswith(prefix + "_") and not np.all(np.isfinite(v)))
             raise TrainingError(f"non-finite gradient in {name}")
     return grads
+
+
+def _grad_views(grads: dict, prefix: str, stack) -> dict[str, np.ndarray]:
+    """Add a gradient vector laid out like `stack.flat` to `grads`, and its named views."""
+    named = stack.learnable()
+    grads[prefix] = np.empty(stack.flat.size)
+    views = dict(zip((n for n, _ in named), flat_views(grads[prefix], [a.shape for _, a in named])))
+    grads.update(views)
+    return views
 
 
 # --- initialization ----------------------------------------------------------
@@ -613,27 +705,49 @@ def init_core(
 # --- parameter plumbing ------------------------------------------------------
 
 
+def _stacks(core: ModelCore) -> list:
+    """The stacks that hold parameters: features, then pairs if there are any."""
+    if core.pairs is not None and core.pairs.n_pairs > 0:
+        return [core.feats, core.pairs]
+    return [core.feats]
+
+
 def param_dict(core: ModelCore) -> dict[str, np.ndarray]:
     """Live views of every learnable array, keyed by stable names."""
-    params = {"feat_emb": core.feats.emb, "feat_mu": core.feats.mu,
-              "feat_off": core.feats.mono_off}
-    for l, (W, b) in enumerate(core.feats.weights):
-        params[f"feat_W{l}"] = W
-        params[f"feat_b{l}"] = b
-    if core.pairs is not None and core.pairs.n_pairs > 0:
-        params["pair_emb"] = core.pairs.emb
-        params["pair_mu"] = core.pairs.mu
-        for l, (W, b) in enumerate(core.pairs.weights):
-            params[f"pair_W{l}"] = W
-            params[f"pair_b{l}"] = b
-    return params
+    return dict(kv for stack in _stacks(core) for kv in stack.learnable())
 
 
-def copy_params(core: ModelCore) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in param_dict(core).items()}
+def param_spans(core: ModelCore, keys) -> list[tuple[str, slice, list[str]]]:
+    """Where the named parameters sit: per stack, one slice of its `flat`.
+
+    Returns (prefix, slice, names in buffer order) for each stack that
+    holds any of `keys`. Raises ValueError if one stack's keys are not
+    adjacent, or if an array is not a view of its stack's buffer.
+    """
+    keys = set(keys)
+    spans = []
+    for prefix, stack in zip(("feat", "pair"), _stacks(core)):
+        names, lo, hi, start = [], None, None, 0
+        for name, arr in stack.learnable():
+            if name in keys:
+                if not np.may_share_memory(arr, stack.flat):
+                    raise ValueError(f"{name} was rebound; it is not a view of its buffer")
+                if hi is not None and hi != start:
+                    raise ValueError(f"{sorted(keys)} are not adjacent in the {prefix} buffer")
+                lo = start if lo is None else lo
+                hi = start + arr.size
+                names.append(name)
+            start += arr.size
+        if names:
+            spans.append((prefix, slice(lo, hi), names))
+    return spans
 
 
-def load_params(core: ModelCore, snapshot: dict[str, np.ndarray]) -> None:
-    live = param_dict(core)
-    for k, v in snapshot.items():
-        live[k][...] = v
+def copy_params(core: ModelCore) -> list[np.ndarray]:
+    """A snapshot of every learnable value: one copy of each stack's `flat`."""
+    return [stack.flat.copy() for stack in _stacks(core)]
+
+
+def load_params(core: ModelCore, snapshot: list[np.ndarray]) -> None:
+    for stack, saved in zip(_stacks(core), snapshot, strict=True):
+        stack.flat[...] = saved

@@ -29,11 +29,13 @@ from .core import (
     bin_tables,
     copy_params,
     flat_pair_codes,
+    flat_views,
     forward_pass,
     init_core,
     load_params,
     pair_bin_tables,
     param_dict,
+    param_spans,
     sigmoid,
     smooth_step,
 )
@@ -260,40 +262,57 @@ _OBJECTIVES = {
 
 
 class Adam:
-    """Adaptive-moment descent over named parameter arrays."""
+    """Adaptive-moment descent over the named parameters of one core.
 
-    def __init__(self, params: dict, keys: list[str], lr: float,
+    The parameters are found as one slice of each stack's flat buffer
+    (`param_spans`), and `m` and `v` are one vector each, so a step runs
+    the update once per stack: once, or twice when a phase trains
+    features and pairs together. `step` takes `backward_pass`'s
+    gradients, whose flat vectors share the buffers' layout.
+    """
+
+    def __init__(self, core: ModelCore, keys: list[str], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
-        self.keys = [k for k in keys if k in params]
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(params[k]) for k in self.keys}
-        self.v = {k: np.zeros_like(params[k]) for k in self.keys}
+        spans = param_spans(core, keys)
+        size = sum(sl.stop - sl.start for _, sl, _ in spans)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        params = param_dict(core)
+        stacks = {"feat": core.feats, "pair": core.pairs}
+        self._spans = []  # (prefix, slice, params, m, v), views of one span each
+        self._rows = []  # (name, m, v), per-parameter views of the moments
+        start = 0
+        for prefix, sl, names in spans:
+            stop = start + sl.stop - sl.start
+            m, v = self.m[start:stop], self.v[start:stop]
+            self._spans.append((prefix, sl, stacks[prefix].flat[sl], m, v))
+            shapes = [params[k].shape for k in names]
+            self._rows += zip(names, flat_views(m, shapes), flat_views(v, shapes))
+            start = stop
 
     def step(self, grads: dict) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for k in self.keys:
-            g = grads[k]
-            m = self.m[k]
-            v = self.v[k]
+        for prefix, sl, p, m, v in self._spans:
+            g = grads[prefix][sl]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g**2
-            self.params[k] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
     def zero_rows(self, prefix: str, row: int) -> None:
         """Kill momentum for one feature/pair so it never moves again."""
-        for k in self.keys:
-            if k.startswith(prefix):
-                self.m[k][row] = 0.0
-                self.v[k][row] = 0.0
+        for name, m, v in self._rows:
+            if name.startswith(prefix):
+                m[row] = 0.0
+                v[row] = 0.0
 
 
 # --- phased training loop -----------------------------------------------------
@@ -373,7 +392,7 @@ def _run_phase(
         # Mains are frozen: bake their contribution into a fixed offset.
         off_tr = forward_pass(core, codes_tr, compute_pairs=False).eta
         off_val = forward_pass(core, codes_val, compute_pairs=False).eta
-    adam = Adam(param_dict(core), _phase_keys(core, phase), cfg.learning_rate)
+    adam = Adam(core, _phase_keys(core, phase), cfg.learning_rate)
     best = _snapshot(core)
     best_val = np.inf
     bad = 0

@@ -71,14 +71,14 @@ def tiny_core(
         gamma=gamma,
         pair_gates_trainable=pairs is not None,
     )
+    # Written in place: the arrays are views of the core's parameter buffer.
     W, b = core.feats.weights[-1]
-    core.feats.weights[-1] = (rng.normal(scale=0.4, size=W.shape), rng.normal(scale=0.2, size=b.shape))
+    W[...] = rng.normal(scale=0.4, size=W.shape)
+    b[...] = rng.normal(scale=0.2, size=b.shape)
     if core.pairs is not None:
         W, b = core.pairs.weights[-1]
-        core.pairs.weights[-1] = (
-            rng.normal(scale=0.4, size=W.shape),
-            rng.normal(scale=0.2, size=b.shape),
-        )
+        W[...] = rng.normal(scale=0.4, size=W.shape)
+        b[...] = rng.normal(scale=0.2, size=b.shape)
     core.feats.mu[:] = rng.uniform(-0.3, 0.3, size=core.feats.mu.shape)
     if core.pairs is not None:
         core.pairs.mu[:] = rng.uniform(-0.3, 0.3, size=core.pairs.mu.shape)

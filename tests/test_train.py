@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 
 from namlite import train
-from namlite.core import flat_pair_codes, forward_pass, param_dict
+from namlite.core import (
+    KernelConfig,
+    backward_pass,
+    copy_params,
+    flat_pair_codes,
+    forward_pass,
+    init_core,
+    load_params,
+    param_dict,
+)
 from namlite.data import split_folds
 from namlite.errors import ConfigError, DataError
 from namlite.persist import dumps_model, model_hash
 from namlite.survival import as_survival_labels, censoring_curve
 from namlite.train import (
+    Adam,
     EnsembleModel,
     TrainConfig,
     fit,
@@ -20,6 +30,8 @@ from namlite.train import (
     loss_mse,
     predict,
 )
+
+from conftest import random_codes, tiny_core
 
 
 def _fast_cfg(**kw):
@@ -365,3 +377,121 @@ class TestFit:
         table = self._table(rng, 50)
         with pytest.raises(DataError):
             fit(table, {"event": [True], "time": [1.0]}, _fast_cfg(task="survival"))
+
+
+# --- optimizer over flat parameter buffers ------------------------------------
+
+
+class _PerKeyAdam:
+    """The optimizer as first written: one update per named array."""
+
+    def __init__(self, params, keys, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.keys = [k for k in keys if k in params]
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(params[k]) for k in self.keys}
+        self.v = {k: np.zeros_like(params[k]) for k in self.keys}
+
+    def step(self, grads):
+        self.t += 1
+        b1c = 1.0 - self.beta1**self.t
+        b2c = 1.0 - self.beta2**self.t
+        for k in self.keys:
+            g = grads[k]
+            m = self.m[k]
+            v = self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g**2
+            self.params[k] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+    def zero_rows(self, prefix, row):
+        for k in self.keys:
+            if k.startswith(prefix):
+                self.m[k][row] = 0.0
+                self.v[k][row] = 0.0
+
+
+_PHASES = {
+    "feats_monotone_gates": (dict(mono_dir=np.array([0, 1, 0])),
+                             train._Phase("sel", train_feats=True, feat_gates=True), "feat_"),
+    "feats_gates": ({}, train._Phase("sel", train_feats=True, feat_gates=True), "feat_"),
+    "mains_monotone": (dict(mono_dir=np.array([1, 0, 0])),
+                       train._Phase("mains", train_feats=True), "feat_"),
+    "pairs": (dict(pairs=[(0, 1), (1, 2)]), train._Phase("pairs", train_pairs=True), "pair_"),
+    "pair_select": (dict(pairs=[(0, 1), (1, 2)]),
+                    train._Phase("ps", train_pairs=True, pair_gates=True), "pair_"),
+    "feats_and_pairs": (dict(pairs=[(0, 1), (0, 2)]),
+                        train._Phase("sel", train_feats=True, train_pairs=True, feat_gates=True,
+                                     pair_gates=True), "pair_"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PHASES))
+def test_flat_adam_matches_per_key_adam_bit_for_bit(case):
+    kw, phase, pruned = _PHASES[case]
+    flat_core, ref_core = (tiny_core(np.random.default_rng(21), **kw) for _ in range(2))
+    for core in (flat_core, ref_core):
+        # Half-open gates, so the row pruned below has gradients and momentum.
+        (core.feats if pruned == "feat_" else core.pairs).mu[...] = 0.0
+    rng = np.random.default_rng(5)
+    codes = random_codes(rng, 40, flat_core.feats.n_bins)
+    target = rng.normal(size=(40, 1))
+    keys = train._phase_keys(flat_core, phase)
+    flat = Adam(flat_core, keys, 0.05)
+    ref = _PerKeyAdam(param_dict(ref_core), keys, 0.05)
+    for step in range(8):
+        rows = rng.permutation(40)[:16]
+        for core, opt in ((flat_core, flat), (ref_core, ref)):
+            cache = forward_pass(core, codes[rows], compute_feats=phase.train_feats,
+                                 compute_pairs=phase.train_pairs)
+            grads = backward_pass(core, cache, cache.eta - target[rows], 0.1, 0.05)
+            opt.step(grads)
+        if step == 3:
+            # What pruning does: the row is switched off and its momentum killed.
+            for core, opt in ((flat_core, flat), (ref_core, ref)):
+                stack = core.feats if pruned == "feat_" else core.pairs
+                stack.active[1] = False
+                opt.zero_rows(pruned, 1)
+    trained = param_dict(flat_core)
+    fresh = param_dict(tiny_core(np.random.default_rng(21), **kw))
+    assert all(not np.array_equal(trained[k], fresh[k]) for k in keys)
+    for k, v in param_dict(ref_core).items():
+        np.testing.assert_array_equal(trained[k], v, err_msg=k)
+
+
+def test_fresh_core_parameters_are_views_of_one_buffer():
+    core = init_core(np.array([5, 3, 4]), 2, KernelConfig(), np.random.default_rng(0),
+                     embedding_dim=3, hidden_sizes=(4, 5), pairs=[(0, 1), (1, 2)])
+    buf = core.feats.flat.base
+    assert buf is not None and core.pairs.flat.base is buf
+    params = param_dict(core)
+    assert all(v.base is buf for v in params.values())
+    assert sum(v.size for v in params.values()) == buf.size
+    # Writing through the buffer is seen by the named arrays, and the other way round.
+    core.feats.flat[...] = 0.5
+    assert np.all(core.feats.emb == 0.5) and np.all(core.feats.weights[1][0] == 0.5)
+    core.pairs.mu[0] = 7.0
+    assert buf[core.feats.flat.size + core.pairs.flat.size - 2] == 7.0
+
+
+def test_copy_then_load_params_round_trips_exactly():
+    core = tiny_core(np.random.default_rng(8), pairs=[(0, 2)], mono_dir=np.array([0, 0, 1]))
+    before = {k: v.copy() for k, v in param_dict(core).items()}
+    snap = copy_params(core)
+    core.feats.flat[...] = np.nan
+    core.pairs.flat[...] *= 3.0
+    load_params(core, snap)
+    for k, v in param_dict(core).items():
+        np.testing.assert_array_equal(v, before[k], err_msg=k)
+    snap[0][...] = 0.0  # the snapshot is a copy, not a view
+    np.testing.assert_array_equal(core.feats.emb, before["feat_emb"])
+
+
+def test_adam_refuses_a_rebound_parameter():
+    core = tiny_core(np.random.default_rng(9))
+    core.feats.emb = core.feats.emb.copy()
+    with pytest.raises(ValueError, match="feat_emb"):
+        Adam(core, ["feat_emb"], 0.01)
