@@ -357,6 +357,18 @@ def _fd_check(core, codes, target, reg=0.0, preg=0.0, h=1e-4):
     return worst
 
 
+@pytest.mark.parametrize("out", [1, 3])
+def test_scatter_bins_sums_like_add_at(out):
+    from namlite.core import _scatter_bins
+
+    rng = np.random.default_rng(6)
+    codes = rng.integers(0, 7, size=(50, 4))
+    d_vals = rng.normal(size=(50, 4, out))
+    acc = np.zeros((4 * 7, out))
+    np.add.at(acc, (np.arange(4)[None, :] * 7 + codes).ravel(), d_vals.reshape(-1, out))
+    np.testing.assert_array_equal(_scatter_bins(d_vals, codes, 7), acc.reshape(4, 7, out))
+
+
 class TestBackward:
     def test_gradients_match_fd_with_pairs_and_monotone(self):
         rng = np.random.default_rng(42)
