@@ -134,6 +134,8 @@ def _time_indices(ens: EnsembleModel, eval_times) -> list[int]:
     if eval_times is None:
         return list(range(grid.size))
     wanted = np.atleast_1d(np.asarray(eval_times, dtype=np.float64))
+    if wanted.size == 0:
+        raise ConfigError("eval times must not be empty; pass None for the whole grid")
     if not np.all(np.isfinite(wanted)):
         raise ConfigError(f"eval times must be finite, got {wanted.tolist()}")
     return [int(np.argmin(np.abs(grid - t))) for t in wanted]
@@ -331,7 +333,10 @@ def pair_shape_function(
         if eval_time is None:
             t_idx = grid.size // 2
         else:
-            (t_idx,) = _time_indices(ens, float(eval_time))
+            idx = _time_indices(ens, eval_time)
+            if len(idx) != 1:
+                raise ConfigError(f"a pair surface takes one eval time, got {len(idx)}")
+            t_idx = idx[0]
         t_out = float(grid[t_idx])
     else:
         t_idx, t_out = 0, None

@@ -474,6 +474,12 @@ def _normalize_targets(task: str, y, n: int):
         if labels.size != n:
             raise DataError(f"expected {n} labels, got {labels.size}")
         return labels
+    fields = y.keys() if isinstance(y, dict) else getattr(getattr(y, "dtype", None), "names", ())
+    if fields:
+        raise DataError(
+            f"{task} targets must be one number per row, got labels with fields {list(fields)}; "
+            'survival labels (event, time) need task="survival"'
+        )
     arr = np.asarray(y, dtype=np.float64).reshape(-1)
     if arr.size != n:
         raise DataError(f"expected {n} targets, got {arr.size}")

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from namlite import cli
 from namlite.cli import main
 from namlite.persist import load_model
 from namlite.train import predict
@@ -193,6 +194,20 @@ class TestTrain:
         p = tmp_path / "run.json"
         p.write_text(json.dumps(_base_cfg(csv, str(tmp_path / "o"), task="survival")))
         assert main(["train", str(p)]) == 3
+
+    def test_survival_labels_under_scalar_task_are_data_error(self, tmp_path, monkeypatch, capsys):
+        # The CLI reads a target column for scalar tasks; survival labels can
+        # only reach fit with such a task through its Python API, as here.
+        real = cli._targets
+        monkeypatch.setattr(cli, "_targets", lambda table, run, task: real(table, run, "survival"))
+        rng = np.random.default_rng(4)
+        cols = {"x": rng.normal(size=60), "time": rng.exponential(size=60) + 0.1,
+                "event": (rng.random(60) < 0.5).astype(float)}
+        csv = _write_csv(tmp_path / "t.csv", cols)
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(_base_cfg(csv, str(tmp_path / "o"), target="time")))
+        assert main(["train", str(p)]) == 3
+        assert 'task="survival"' in capsys.readouterr().err
 
     def test_rank_deficient_cox_censor_is_training_error(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

@@ -309,6 +309,29 @@ def test_non_finite_eval_time_rejected(export, t, surv_ens):
         _TIMED_EXPORTS[export](*surv_ens, t)
 
 
+_EMPTY_TIMES = {
+    "shape": lambda ens, table, labels: shape_function(ens, "a", eval_times=[]),
+    "shape_array": lambda ens, table, labels: shape_function(ens, "a", eval_times=np.array([])),
+    "pair": lambda ens, table, labels: pair_shape_function(ens, "a", "b", eval_time=[]),
+    "calibration": lambda ens, table, labels: calibration(ens, table, labels, eval_times=[]),
+}
+
+
+@pytest.mark.parametrize("export", sorted(_EMPTY_TIMES))
+def test_empty_eval_times_rejected(export, surv_ens):
+    # An empty request used to export no blocks, which shape_to_csv then indexed.
+    with pytest.raises(ConfigError, match="empty"):
+        _EMPTY_TIMES[export](*surv_ens)
+
+
+def test_pair_surface_takes_one_eval_time(surv_ens):
+    ens, _, _ = surv_ens
+    with pytest.raises(ConfigError, match="one eval time"):
+        pair_shape_function(ens, "a", "b", eval_time=list(ens.eval_times[:2]))
+    t = float(ens.eval_times[1])
+    assert pair_shape_function(ens, "a", "b", eval_time=[t]).eval_time == t
+
+
 # --- compiled tables ---------------------------------------------------------------
 
 

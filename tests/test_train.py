@@ -372,6 +372,17 @@ class TestFit:
         assert rows.shape == batch.shape
         np.testing.assert_allclose(rows, batch, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("as_dict", [False, True])
+    def test_survival_labels_need_survival_task(self, task, as_dict):
+        rng = np.random.default_rng(18)
+        labels = as_survival_labels((rng.random(40) < 0.5, rng.exponential(size=40)))
+        y = {"event": labels["event"], "time": labels["time"]} if as_dict else labels
+        with pytest.raises(DataError, match='task="survival"'):
+            train._normalize_targets(task, y, 40)
+        with pytest.raises(DataError, match='task="survival"'):
+            fit(self._table(rng, 40), y, _fast_cfg(task=task))
+
     def test_survival_label_length_mismatch(self):
         rng = np.random.default_rng(17)
         table = self._table(rng, 50)
