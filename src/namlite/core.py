@@ -7,13 +7,14 @@ their smoothing-operator rows are zero, so they receive no gradient and
 stay at their initial values.
 
 Every learnable array of a stack is a view into the stack's `flat`
-vector, in the order of its `learnable()` list. A `ModelCore` packs both
-of its stacks into one float64 buffer when it is built, so `param_dict`
+vector, in the order of its `learnable()` list. A `ModelCore` keeps both
+of its stacks in one float64 buffer, features first, so `param_dict`
 views stay live, gradients come back in the same layout, and the
 optimizer and the early-stopping snapshots work on whole vectors. The
 arrays are edited in place only and never rebound: an array assigned
-over a stack's field is no longer seen by training. A pair stack
-attached to a core after it was built keeps the buffer it came in.
+over a stack's field is no longer seen by training. The pair stack is
+replaced only through `ModelCore.attach_pairs`, which moves both stacks
+into a new buffer, so views taken before it are stale.
 """
 
 from __future__ import annotations
@@ -263,6 +264,11 @@ class ModelCore:
     beta0: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     def __post_init__(self) -> None:
+        _pack(*_stacks(self))
+
+    def attach_pairs(self, pairs: PairStack | None) -> None:
+        """Replace the pair stack (None drops it) and repack both stacks into one buffer."""
+        self.pairs = pairs
         _pack(*_stacks(self))
 
     def gates(self) -> np.ndarray:

@@ -746,7 +746,7 @@ def _attach_pairs(
         pairs=list(pairs),
         pair_gates_trainable=trainable_gates,
     )
-    core.pairs = fresh.pairs
+    core.attach_pairs(fresh.pairs)
     core.pair_gamma = pair_gamma
     core.pair_gates_trainable = trainable_gates
 
@@ -846,7 +846,7 @@ def _select_pairs(
     open_ = [i for i in range(len(universe)) if gates[i] > 0]
     order = sorted(open_, key=lambda i: (-gates[i], universe[i]))
     chosen = sorted(universe[i] for i in order[: cfg.num_pairs])
-    core.pairs = None
+    core.attach_pairs(None)
     core.pair_gates_trainable = False
     return chosen
 

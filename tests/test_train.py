@@ -488,6 +488,23 @@ def test_fresh_core_parameters_are_views_of_one_buffer():
     assert buf[core.feats.flat.size + core.pairs.flat.size - 2] == 7.0
 
 
+def test_attached_pairs_share_the_core_buffer():
+    core = tiny_core(np.random.default_rng(3))
+    donor = tiny_core(np.random.default_rng(4), pairs=[(0, 1), (0, 2)])
+    before = {k: v.copy() for k, v in param_dict(donor).items() if k.startswith("pair_")}
+    before.update((k, v.copy()) for k, v in param_dict(core).items())
+    core.attach_pairs(donor.pairs)
+    params = param_dict(core)
+    buf = core.feats.flat.base
+    assert all(v.base is buf for v in params.values()) and buf.size == sum(
+        v.size for v in params.values())
+    for k, v in params.items():
+        np.testing.assert_array_equal(v, before[k], err_msg=k)
+    core.attach_pairs(None)  # the pair section is dropped with the old buffer
+    assert core.feats.flat.base.size == core.feats.flat.size
+    np.testing.assert_array_equal(core.feats.emb, before["feat_emb"])
+
+
 def test_copy_then_load_params_round_trips_exactly():
     core = tiny_core(np.random.default_rng(8), pairs=[(0, 2)], mono_dir=np.array([0, 0, 1]))
     before = {k: v.copy() for k, v in param_dict(core).items()}
