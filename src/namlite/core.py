@@ -6,15 +6,16 @@ products across features. Padding rows are never indexed by data and
 their smoothing-operator rows are zero, so they receive no gradient and
 stay at their initial values.
 
-Every learnable array of a stack is a view into the stack's `flat`
-vector, in the order of its `learnable()` list. A `ModelCore` keeps both
-of its stacks in one float64 buffer, features first, so `param_dict`
-views stay live, gradients come back in the same layout, and the
-optimizer and the early-stopping snapshots work on whole vectors. The
-arrays are edited in place only and never rebound: an array assigned
-over a stack's field is no longer seen by training. The pair stack is
-replaced only through `ModelCore.attach_pairs`, which moves both stacks
-into a new buffer, so views taken before it are stale.
+Every learnable array of a core is a view into one float64 vector,
+`ModelCore.flat`: the feature stack's arrays in the order of its
+`learnable()` list, then the pair stack's. So `param_dict` views stay
+live, gradients come back in the same layout, every training phase's
+parameters are one slice of it, and the optimizer and the
+early-stopping snapshots work on whole vectors. The arrays are edited
+in place only and never rebound: an array assigned over a stack's field
+is no longer seen by training. The pair stack is replaced only through
+`ModelCore.attach_pairs`, which moves both stacks into a new vector, so
+views taken before it are stale.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
     "init_core",
     "flat_views",
     "param_dict",
-    "param_spans",
+    "param_span",
     "copy_params",
     "load_params",
     "sigmoid",
@@ -178,7 +179,6 @@ class FeatureStack:
     mono_dir: np.ndarray  # (p,) in {-1, 0, +1}
     mono_off: np.ndarray  # (p,)
     active: np.ndarray  # (p,) bool
-    flat: np.ndarray | None = field(default=None, repr=False)  # set by ModelCore
 
     @property
     def n_features(self) -> int:
@@ -189,10 +189,11 @@ class FeatureStack:
         return int(self.emb.shape[1])
 
     def learnable(self) -> list[tuple[str, np.ndarray]]:
-        """Trainable arrays by `param_dict` name, in `flat` order.
+        """Trainable arrays by `param_dict` name, in buffer order.
 
         The offsets lead and the gates trail, so every training phase's
-        keys are adjacent: with or without monotone offsets or gates.
+        keys are adjacent, with or without monotone offsets or gates, and
+        the gates meet the pair stack's arrays that follow.
         """
         return ([("feat_off", self.mono_off), ("feat_emb", self.emb)]
                 + _layer_arrays("feat", self.weights) + [("feat_mu", self.mu)])
@@ -211,14 +212,13 @@ class PairStack:
     smooth_a: np.ndarray  # (q, M, M)
     smooth_b: np.ndarray  # (q, M, M)
     active: np.ndarray  # (q,) bool
-    flat: np.ndarray | None = field(default=None, repr=False)  # set by ModelCore
 
     @property
     def n_pairs(self) -> int:
         return int(self.emb.shape[0])
 
     def learnable(self) -> list[tuple[str, np.ndarray]]:
-        """Trainable arrays by `param_dict` name, in `flat` order (gates last)."""
+        """Trainable arrays by `param_dict` name, in buffer order (gates last)."""
         return [("pair_emb", self.emb)] + _layer_arrays("pair", self.weights) + [("pair_mu", self.mu)]
 
     def _bind(self, views: list[np.ndarray]) -> None:
@@ -226,22 +226,18 @@ class PairStack:
         self.weights = _layers_from(layers)
 
 
-def _pack(*stacks) -> None:
-    """Copy the stacks' learnable arrays into one new vector and rebind them as views.
-
-    Each stack's `flat` becomes its section of the vector, in the order given.
-    """
+def _pack(stacks) -> np.ndarray:
+    """Copy the stacks' learnable arrays into one new vector and rebind them as its views."""
     arrays = [[a for _, a in s.learnable()] for s in stacks]
-    sizes = [sum(a.size for a in arrs) for arrs in arrays]
-    buf = np.empty(sum(sizes))
+    flat = np.empty(sum(a.size for arrs in arrays for a in arrs))
     start = 0
-    for stack, arrs, size in zip(stacks, arrays, sizes):
-        stack.flat = buf[start : start + size]
-        views = flat_views(stack.flat, [a.shape for a in arrs])
+    for stack, arrs in zip(stacks, arrays):
+        views = flat_views(flat[start:], [a.shape for a in arrs])
         for view, a in zip(views, arrs):
             view[...] = a
         stack._bind(views)
-        start += size
+        start += sum(a.size for a in arrs)
+    return flat
 
 
 @dataclass
@@ -262,14 +258,15 @@ class ModelCore:
     gates_trainable: bool = False
     pair_gates_trainable: bool = False
     beta0: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _pack(*_stacks(self))
+        self.flat = _pack(_stacks(self))
 
     def attach_pairs(self, pairs: PairStack | None) -> None:
-        """Replace the pair stack (None drops it) and repack both stacks into one buffer."""
+        """Replace the pair stack (None drops it) and repack both stacks into a new `flat`."""
         self.pairs = pairs
-        _pack(*_stacks(self))
+        self.flat = _pack(_stacks(self))
 
     def gates(self) -> np.ndarray:
         return smooth_step(self.feats.mu, self.gamma) * self.feats.active
@@ -522,15 +519,19 @@ def backward_pass(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of (batch loss + gate regularizer) per parameter.
 
-    Each trained stack's gradients fill one vector laid out like its
-    `flat`, returned under "feat" or "pair"; the per-parameter entries
-    are views of it. beta0 is excluded by construction; it is set after
-    training from the centering constants, never by gradient descent.
+    The gradients fill one vector laid out like `core.flat`, returned
+    under "flat"; the per-parameter entries are views of it. The section
+    of a stack the cache did not run stays zero and has no entries.
+    beta0 is excluded by construction; it is set after training from the
+    centering constants, never by gradient descent.
     """
-    grads: dict[str, np.ndarray] = {}
+    params = param_dict(core)
+    grads: dict[str, np.ndarray] = {"flat": np.zeros(core.flat.size)}
+    views = dict(zip(params, flat_views(grads["flat"], [a.shape for a in params.values()])))
     feats = core.feats
     if cache.vals is not None:
-        g = _grad_views(grads, "feat", feats)
+        g = {k: v for k, v in views.items() if k.startswith("feat_")}
+        grads.update(g)
         gates = core.gates()
         sgrad = smooth_step_grad(feats.mu, core.gamma) * feats.active
         d_gate = np.einsum("bo,bpo->p", d_eta, cache.vals)
@@ -562,7 +563,8 @@ def backward_pass(
         np.matmul(feats.smooth.transpose(0, 2, 1), dsm, out=g["feat_emb"])
     if cache.pvals is not None:
         pairs = core.pairs
-        g = _grad_views(grads, "pair", pairs)
+        g = {k: v for k, v in views.items() if k.startswith("pair_")}
+        grads.update(g)
         pg = core.pair_gates()
         psgrad = smooth_step_grad(pairs.mu, core.pair_gamma) * pairs.active
         d_pgate = np.einsum("bo,bqo->q", d_eta, cache.pvals)
@@ -578,21 +580,10 @@ def backward_pass(
             _layers_from([g[name] for name, _ in _layer_arrays("pair", pairs.weights)]),
         )
         _pair_smooth_backward(pairs, dpsm, g["pair_emb"])
-    for prefix in ("feat", "pair"):
-        if prefix in grads and not np.all(np.isfinite(grads[prefix])):
-            name = next(k for k, v in grads.items()
-                        if k.startswith(prefix + "_") and not np.all(np.isfinite(v)))
-            raise TrainingError(f"non-finite gradient in {name}")
+    if not np.all(np.isfinite(grads["flat"])):
+        name = next(k for k, g in grads.items() if not np.all(np.isfinite(g)) and k != "flat")
+        raise TrainingError(f"non-finite gradient in {name}")
     return grads
-
-
-def _grad_views(grads: dict, prefix: str, stack) -> dict[str, np.ndarray]:
-    """Add a gradient vector laid out like `stack.flat` to `grads`, and its named views."""
-    named = stack.learnable()
-    grads[prefix] = np.empty(stack.flat.size)
-    views = dict(zip((n for n, _ in named), flat_views(grads[prefix], [a.shape for _, a in named])))
-    grads.update(views)
-    return views
 
 
 # --- initialization ----------------------------------------------------------
@@ -726,37 +717,32 @@ def param_dict(core: ModelCore) -> dict[str, np.ndarray]:
     return dict(kv for stack in _stacks(core) for kv in stack.learnable())
 
 
-def param_spans(core: ModelCore, keys) -> list[tuple[str, slice, list[str]]]:
-    """Where the named parameters sit: per stack, one slice of its `flat`.
+def param_span(core: ModelCore, keys) -> tuple[slice, list[str]]:
+    """The slice of `core.flat` that holds exactly the named parameters.
 
-    Returns (prefix, slice, names in buffer order) for each stack that
-    holds any of `keys`. Raises ValueError if one stack's keys are not
-    adjacent, or if an array is not a view of its stack's buffer.
+    Returns it with the names present, in buffer order. Raises
+    ValueError if they are not adjacent, or if an array is not a view of
+    `core.flat` (it was rebound).
     """
     keys = set(keys)
-    spans = []
-    for prefix, stack in zip(("feat", "pair"), _stacks(core)):
-        names, lo, hi, start = [], None, None, 0
-        for name, arr in stack.learnable():
-            if name in keys:
-                if not np.may_share_memory(arr, stack.flat):
-                    raise ValueError(f"{name} was rebound; it is not a view of its buffer")
-                if hi is not None and hi != start:
-                    raise ValueError(f"{sorted(keys)} are not adjacent in the {prefix} buffer")
-                lo = start if lo is None else lo
-                hi = start + arr.size
-                names.append(name)
-            start += arr.size
-        if names:
-            spans.append((prefix, slice(lo, hi), names))
-    return spans
+    names, lo, hi, start = [], 0, 0, 0
+    for name, arr in param_dict(core).items():
+        if name in keys:
+            if not np.may_share_memory(arr, core.flat):
+                raise ValueError(f"{name} was rebound; it is not a view of the core's buffer")
+            if names and hi != start:
+                raise ValueError(f"parameters {sorted(keys)} are not adjacent in the buffer")
+            lo = start if not names else lo
+            hi = start + arr.size
+            names.append(name)
+        start += arr.size
+    return slice(lo, hi), names
 
 
-def copy_params(core: ModelCore) -> list[np.ndarray]:
-    """A snapshot of every learnable value: one copy of each stack's `flat`."""
-    return [stack.flat.copy() for stack in _stacks(core)]
+def copy_params(core: ModelCore) -> np.ndarray:
+    """A snapshot of every learnable value: one copy of `core.flat`."""
+    return core.flat.copy()
 
 
-def load_params(core: ModelCore, snapshot: list[np.ndarray]) -> None:
-    for stack, saved in zip(_stacks(core), snapshot, strict=True):
-        stack.flat[...] = saved
+def load_params(core: ModelCore, snapshot: np.ndarray) -> None:
+    core.flat[...] = snapshot

@@ -35,7 +35,7 @@ from .core import (
     load_params,
     pair_bin_tables,
     param_dict,
-    param_spans,
+    param_span,
     sigmoid,
     smooth_step,
 )
@@ -264,11 +264,10 @@ _OBJECTIVES = {
 class Adam:
     """Adaptive-moment descent over the named parameters of one core.
 
-    The parameters are found as one slice of each stack's flat buffer
-    (`param_spans`), and `m` and `v` are one vector each, so a step runs
-    the update once per stack: once, or twice when a phase trains
-    features and pairs together. `step` takes `backward_pass`'s
-    gradients, whose flat vectors share the buffers' layout.
+    The parameters are one slice of `core.flat` (`param_span`), and the
+    moments `m` and `v` are one vector each over that slice, so a step
+    is one update of whole vectors. `step` takes `backward_pass`'s
+    gradients, whose "flat" vector shares the core's layout.
     """
 
     def __init__(self, core: ModelCore, keys: list[str], lr: float,
@@ -278,34 +277,24 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        spans = param_spans(core, keys)
-        size = sum(sl.stop - sl.start for _, sl, _ in spans)
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        params = param_dict(core)
-        stacks = {"feat": core.feats, "pair": core.pairs}
-        self._spans = []  # (prefix, slice, params, m, v), views of one span each
-        self._rows = []  # (name, m, v), per-parameter views of the moments
-        start = 0
-        for prefix, sl, names in spans:
-            stop = start + sl.stop - sl.start
-            m, v = self.m[start:stop], self.v[start:stop]
-            self._spans.append((prefix, sl, stacks[prefix].flat[sl], m, v))
-            shapes = [params[k].shape for k in names]
-            self._rows += zip(names, flat_views(m, shapes), flat_views(v, shapes))
-            start = stop
+        self.span, names = param_span(core, keys)
+        self.params = core.flat[self.span]
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        shapes = [param_dict(core)[k].shape for k in names]
+        # Per-parameter views of the moments, for zero_rows.
+        self._rows = list(zip(names, flat_views(self.m, shapes), flat_views(self.v, shapes)))
 
     def step(self, grads: dict) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for prefix, sl, p, m, v in self._spans:
-            g = grads[prefix][sl]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g**2
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        g = grads["flat"][self.span]
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g**2
+        self.params -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
 
     def zero_rows(self, prefix: str, row: int) -> None:
         """Kill momentum for one feature/pair so it never moves again."""

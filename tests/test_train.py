@@ -13,6 +13,7 @@ from namlite.core import (
     init_core,
     load_params,
     param_dict,
+    param_span,
 )
 from namlite.data import split_folds
 from namlite.errors import ConfigError, DataError
@@ -476,16 +477,24 @@ def test_flat_adam_matches_per_key_adam_bit_for_bit(case):
 def test_fresh_core_parameters_are_views_of_one_buffer():
     core = init_core(np.array([5, 3, 4]), 2, KernelConfig(), np.random.default_rng(0),
                      embedding_dim=3, hidden_sizes=(4, 5), pairs=[(0, 1), (1, 2)])
-    buf = core.feats.flat.base
-    assert buf is not None and core.pairs.flat.base is buf
     params = param_dict(core)
-    assert all(v.base is buf for v in params.values())
-    assert sum(v.size for v in params.values()) == buf.size
+    assert all(v.base is core.flat for v in params.values())
+    assert sum(v.size for v in params.values()) == core.flat.size
     # Writing through the buffer is seen by the named arrays, and the other way round.
-    core.feats.flat[...] = 0.5
-    assert np.all(core.feats.emb == 0.5) and np.all(core.feats.weights[1][0] == 0.5)
+    core.flat[...] = 0.5
+    assert np.all(core.feats.emb == 0.5) and np.all(core.pairs.weights[1][0] == 0.5)
     core.pairs.mu[0] = 7.0
-    assert buf[core.feats.flat.size + core.pairs.flat.size - 2] == 7.0
+    assert core.flat[-2] == 7.0
+
+
+@pytest.mark.parametrize("case", sorted(_PHASES))
+def test_every_phase_trains_one_slice(case):
+    kw, phase, _ = _PHASES[case]
+    core = tiny_core(np.random.default_rng(2), **kw)
+    keys = train._phase_keys(core, phase)
+    span, names = param_span(core, keys)
+    assert sorted(names) == sorted(keys)
+    assert span.stop - span.start == sum(param_dict(core)[k].size for k in keys)
 
 
 def test_attached_pairs_share_the_core_buffer():
@@ -495,13 +504,12 @@ def test_attached_pairs_share_the_core_buffer():
     before.update((k, v.copy()) for k, v in param_dict(core).items())
     core.attach_pairs(donor.pairs)
     params = param_dict(core)
-    buf = core.feats.flat.base
-    assert all(v.base is buf for v in params.values()) and buf.size == sum(
-        v.size for v in params.values())
+    assert all(v.base is core.flat for v in params.values())
+    assert core.flat.size == sum(v.size for v in params.values())
     for k, v in params.items():
         np.testing.assert_array_equal(v, before[k], err_msg=k)
     core.attach_pairs(None)  # the pair section is dropped with the old buffer
-    assert core.feats.flat.base.size == core.feats.flat.size
+    assert core.flat.size == sum(v.size for v in param_dict(core).values())
     np.testing.assert_array_equal(core.feats.emb, before["feat_emb"])
 
 
@@ -509,12 +517,12 @@ def test_copy_then_load_params_round_trips_exactly():
     core = tiny_core(np.random.default_rng(8), pairs=[(0, 2)], mono_dir=np.array([0, 0, 1]))
     before = {k: v.copy() for k, v in param_dict(core).items()}
     snap = copy_params(core)
-    core.feats.flat[...] = np.nan
-    core.pairs.flat[...] *= 3.0
+    core.feats.emb[...] = np.nan
+    core.pairs.mu[...] *= 3.0
     load_params(core, snap)
     for k, v in param_dict(core).items():
         np.testing.assert_array_equal(v, before[k], err_msg=k)
-    snap[0][...] = 0.0  # the snapshot is a copy, not a view
+    snap[...] = 0.0  # the snapshot is a copy, not a view
     np.testing.assert_array_equal(core.feats.emb, before["feat_emb"])
 
 
