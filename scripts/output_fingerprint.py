@@ -160,9 +160,10 @@ def compare(a, b, tol: float = TOLERANCE) -> tuple[list[str], float]:
     strings such as feature names, and integers such as feature counts.
     """
     problems: list[str] = []
-    worst = [0.0]
+    worst = 0.0
 
     def walk(x, y, where: str) -> None:
+        nonlocal worst
         if isinstance(x, dict) and isinstance(y, dict):
             if x.keys() != y.keys():
                 problems.append(f"{where}: keys {sorted(x)} != {sorted(y)}")
@@ -179,14 +180,14 @@ def compare(a, b, tol: float = TOLERANCE) -> tuple[list[str], float]:
             if x == y or (math.isnan(x) and math.isnan(y)):
                 return
             gap = abs(x - y)
-            worst[0] = max(worst[0], gap) if not math.isnan(gap) else math.inf
+            worst = math.inf if math.isnan(gap) else max(worst, gap)
             if not gap <= tol:
                 problems.append(f"{where}: {x!r} vs {y!r} (gap {gap:.3g} > {tol:g})")
         elif type(x) is not type(y) or x != y:
             problems.append(f"{where}: {x!r} != {y!r}")
 
     walk(a, b, "")
-    return problems, worst[0]
+    return problems, worst
 
 
 def _compare_files(before: str, after: str) -> int:
