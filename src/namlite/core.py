@@ -520,15 +520,14 @@ def backward_pass(
     """Exact gradients of (batch loss + gate regularizer) per parameter.
 
     The gradients fill one vector laid out like `core.flat`, returned
-    under "flat"; the per-parameter entries are views of it. It starts at
-    zero, so untrainable gates, offsets without a monotone constraint and
-    the section of a stack the cache did not run stay zero; that section
-    has no entries.
+    under "flat"; the per-parameter entries are views of it. The section
+    of a stack the cache did not run is left unwritten and has no
+    entries.
     beta0 is excluded by construction; it is set after training from the
     centering constants, never by gradient descent.
     """
     params = param_dict(core)
-    grads: dict[str, np.ndarray] = {"flat": np.zeros(core.flat.size)}
+    grads: dict[str, np.ndarray] = {"flat": np.empty(core.flat.size)}
     views = dict(zip(params, flat_views(grads["flat"], [a.shape for a in params.values()])))
     feats = core.feats
     if cache.vals is not None:
@@ -539,11 +538,14 @@ def backward_pass(
         d_gate = np.einsum("bo,bpo->p", d_eta, cache.vals)
         if core.gates_trainable:
             g["feat_mu"][...] = d_gate * sgrad + reg_param * sgrad
+        else:
+            g["feat_mu"][...] = 0.0
         d_vals = d_eta[:, None, :] * gates[None, :, None]
         d_tabs = _scatter_bins(d_vals, cache.codes, feats.padded)
         # Undo the monotone transform where it applies.
         d_raw = d_tabs
         d_off = g["feat_off"]
+        d_off[...] = 0.0
         idx = np.flatnonzero(feats.mono_dir)
         if idx.size:
             d_raw = d_tabs.copy()
@@ -569,6 +571,8 @@ def backward_pass(
         d_pgate = np.einsum("bo,bqo->q", d_eta, cache.pvals)
         if core.pair_gates_trainable:
             g["pair_mu"][...] = d_pgate * psgrad + pair_reg_param * psgrad
+        else:
+            g["pair_mu"][...] = 0.0
         d_pvals = d_eta[:, None, :] * pg[None, :, None]
         M2 = pairs.emb.shape[1] * pairs.emb.shape[2]
         d_ptabs = _scatter_bins(d_pvals, cache.pair_codes, M2)
@@ -577,9 +581,9 @@ def backward_pass(
             _layers_from([g[name] for name, _ in _layer_arrays("pair", pairs.weights)]),
         )
         _pair_smooth_backward(pairs, dpsm, g["pair_emb"])
-    if not np.all(np.isfinite(grads["flat"])):
-        name = next(k for k, g in grads.items() if k != "flat" and not np.all(np.isfinite(g)))
-        raise TrainingError(f"non-finite gradient in {name}")
+    for name, g in grads.items():
+        if name != "flat" and not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient in {name}")
     return grads
 
 
