@@ -559,7 +559,7 @@ def backward_pass(
                 d_off[j] = dout.sum()
         dsm = _mlp_backward(
             d_raw, cache.sm, cache.hidden, feats.weights, core.activation,
-            _layers_from([g[name] for name, _ in _layer_arrays("feat", feats.weights)]),
+            [(g[f"feat_W{l}"], g[f"feat_b{l}"]) for l in range(len(feats.weights))],
         )
         np.matmul(feats.smooth.transpose(0, 2, 1), dsm, out=g["feat_emb"])
     if cache.pvals is not None:
@@ -578,7 +578,7 @@ def backward_pass(
         d_ptabs = _scatter_bins(d_pvals, cache.pair_codes, M2)
         dpsm = _mlp_backward(
             d_ptabs, cache.psm, cache.phidden, pairs.weights, core.activation,
-            _layers_from([g[name] for name, _ in _layer_arrays("pair", pairs.weights)]),
+            [(g[f"pair_W{l}"], g[f"pair_b{l}"]) for l in range(len(pairs.weights))],
         )
         _pair_smooth_backward(pairs, dpsm, g["pair_emb"])
     for name, g in grads.items():
@@ -733,7 +733,8 @@ def param_span(core: ModelCore, keys) -> tuple[slice, list[str]]:
                 raise ValueError(f"{name} was rebound; it is not a view of the core's buffer")
             if names and hi != start:
                 raise ValueError(f"parameters {sorted(keys)} are not adjacent in the buffer")
-            lo = start if not names else lo
+            if not names:
+                lo = start
             hi = start + arr.size
             names.append(name)
         start += arr.size
