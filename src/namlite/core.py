@@ -6,6 +6,11 @@ products across features. Padding rows are never indexed by data and
 their smoothing-operator rows are zero, so they receive no gradient and
 stay at their initial values.
 
+Each feature has one smoothing operator, in `FeatureStack.smooth`; pairs
+read their two axes' operators from it. Every operator is symmetric,
+S = Sᵀ exactly (see `smoothing_operator`), so backprop multiplies by S
+where the chain rule has Sᵀ, and pair smoothing is its own gradient.
+
 Every learnable array of a core is a view into one float64 vector,
 `ModelCore.flat`: the feature stack's arrays in the order of its
 `learnable()` list, then the pair stack's. So `param_dict` views stay
@@ -109,16 +114,17 @@ def smoothing_operator(n_bins: int, padded: int, cfg: KernelConfig) -> np.ndarra
 
     Row 0 passes the missing bin through untouched; rows 1..n_bins mix
     neighbors at Gaussian weights, dropping offsets that leave [1, n_bins].
-    Rows past n_bins (padding) are zero.
+    Rows and columns past n_bins (padding) are zero. S[i, t] depends on
+    |i - t| and on both bins being observed, so S = Sᵀ exactly: backprop
+    relies on this and smooths gradients with S itself.
     """
-    S = np.zeros((padded, padded), dtype=np.float64)
+    half = kernel_weights(cfg.size, cfg.phi)[cfg.size :]  # offsets 0..size
+    i = np.arange(padded)
+    dist = np.abs(i[:, None] - i[None, :])
+    observed = (i >= 1) & (i <= n_bins)
+    mask = (dist <= cfg.size) & observed[:, None] & observed[None, :]
+    S = np.where(mask, half[np.minimum(dist, cfg.size)], 0.0)
     S[0, 0] = 1.0
-    w = kernel_weights(cfg.size, cfg.phi)
-    for i in range(1, n_bins + 1):
-        for o in range(-cfg.size, cfg.size + 1):
-            t = i + o
-            if 1 <= t <= n_bins:
-                S[i, t] += w[o + cfg.size]
     return S
 
 
@@ -209,8 +215,6 @@ class PairStack:
     emb: np.ndarray  # (q, M, M, d)
     weights: list  # [(W, b)] with W (q, in, out)
     mu: np.ndarray  # (q,)
-    smooth_a: np.ndarray  # (q, M, M)
-    smooth_b: np.ndarray  # (q, M, M)
     active: np.ndarray  # (q,) bool
 
     @property
@@ -339,29 +343,27 @@ def bin_tables(core: ModelCore) -> np.ndarray:
     return _apply_monotone(raw, core.feats)
 
 
-def _pair_smooth(pairs: PairStack) -> np.ndarray:
-    q, M, _, d = pairs.emb.shape
-    sm1 = (pairs.smooth_a @ pairs.emb.reshape(q, M, M * d)).reshape(q, M, M, d)
-    t = sm1.transpose(0, 2, 1, 3).reshape(q, M, M * d)
-    sm2 = (pairs.smooth_b @ t).reshape(q, M, M, d).transpose(0, 2, 1, 3)
-    return sm2.reshape(q, M * M, d)
+def _pair_smooth(core: ModelCore, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Smooth the q pair tables in `x`, (q, M, M, d) values, along both axes: (q, M*M, d).
 
-
-def _pair_smooth_backward(pairs: PairStack, dsm: np.ndarray, out: np.ndarray) -> None:
-    """Gradient of `_pair_smooth` with respect to the pair embeddings, into `out`."""
-    q, M, _, d = pairs.emb.shape
-    dsm = dsm.reshape(q, M, M, d)
-    t = dsm.transpose(0, 2, 1, 3).reshape(q, M, M * d)
-    d1 = (pairs.smooth_b.transpose(0, 2, 1) @ t).reshape(q, M, M, d)
-    d1 = d1.transpose(0, 2, 1, 3).reshape(q, M, M * d)
-    np.matmul(pairs.smooth_a.transpose(0, 2, 1), d1, out=out.reshape(q, M, M * d))
+    Axis a takes each pair's first-feature operator from `feats.smooth`,
+    axis b its second. The operators are symmetric and the kernel is
+    separable, so this is also its own gradient with respect to `x`.
+    """
+    S = core.feats.smooth
+    ja, jb = np.array(core.pairs.pairs).T
+    q, M = ja.size, S.shape[1]
+    sm_a = (S[ja] @ x.reshape(q, M, -1)).reshape(q, M, M, -1)
+    if out is not None:
+        out = out.reshape(sm_a.shape)
+    return np.matmul(S[jb][:, None], sm_a, out=out).reshape(q, M * M, -1)
 
 
 def pair_bin_tables(core: ModelCore) -> np.ndarray:
     """Ungated per-cell outputs for every pair: (q, M*M, out)."""
     if core.pairs is None or core.pairs.n_pairs == 0:
         return np.zeros((0, 0, core.out_dim))
-    sm = _pair_smooth(core.pairs)
+    sm = _pair_smooth(core, core.pairs.emb)
     raw, _ = _mlp_tables(sm, core.pairs.weights, core.activation)
     return raw
 
@@ -404,10 +406,8 @@ def model_forward(core: ModelCore, codes: np.ndarray, beta0=None) -> np.ndarray:
 def flat_pair_codes(core: ModelCore, codes: np.ndarray) -> np.ndarray | None:
     if core.pairs is None or core.pairs.n_pairs == 0:
         return None
-    M = core.feats.padded
-    ja = np.array([p[0] for p in core.pairs.pairs])
-    jb = np.array([p[1] for p in core.pairs.pairs])
-    return codes[:, ja] * M + codes[:, jb]
+    ja, jb = np.array(core.pairs.pairs).T
+    return codes[:, ja] * core.feats.padded + codes[:, jb]
 
 
 # --- batched forward / backward ----------------------------------------------
@@ -419,12 +419,10 @@ class ForwardCache:
     codes: np.ndarray
     pair_codes: np.ndarray | None
     vals: np.ndarray | None  # (B, p, out) ungated per-feature outputs
-    tabs: np.ndarray | None  # (p, M, out) after monotone
     raw_tabs: np.ndarray | None  # (p, M, out) before monotone
     hidden: list | None
     sm: np.ndarray | None
     pvals: np.ndarray | None  # (B, q, out)
-    ptabs: np.ndarray | None  # (q, M*M, out)
     phidden: list | None
     psm: np.ndarray | None
 
@@ -446,7 +444,7 @@ def forward_pass(
     eta = np.zeros((B, core.out_dim))
     if eta_offset is not None:
         eta = eta + eta_offset
-    vals = tabs = raw_tabs = sm = None
+    vals = raw_tabs = sm = None
     hidden = None
     if compute_feats:
         sm = core.feats.smooth @ core.feats.emb
@@ -455,12 +453,12 @@ def forward_pass(
         p = core.feats.n_features
         vals = tabs[np.arange(p)[None, :], codes]  # (B, p, out)
         eta = eta + np.einsum("bpo,p->bo", vals, core.gates())
-    pvals = ptabs = psm = None
+    pvals = psm = None
     phidden = None
     if compute_pairs and core.pairs is not None and core.pairs.n_pairs > 0:
         if pair_codes is None:
             pair_codes = flat_pair_codes(core, codes)
-        psm = _pair_smooth(core.pairs)
+        psm = _pair_smooth(core, core.pairs.emb)
         ptabs, phidden = _mlp_tables(psm, core.pairs.weights, core.activation)
         q = core.pairs.n_pairs
         pvals = ptabs[np.arange(q)[None, :], pair_codes]
@@ -470,12 +468,10 @@ def forward_pass(
         codes=codes,
         pair_codes=pair_codes,
         vals=vals,
-        tabs=tabs,
         raw_tabs=raw_tabs,
         hidden=hidden,
         sm=sm,
         pvals=pvals,
-        ptabs=ptabs,
         phidden=phidden,
         psm=psm,
     )
@@ -561,7 +557,7 @@ def backward_pass(
             d_raw, cache.sm, cache.hidden, feats.weights, core.activation,
             [(g[f"feat_W{l}"], g[f"feat_b{l}"]) for l in range(len(feats.weights))],
         )
-        np.matmul(feats.smooth.transpose(0, 2, 1), dsm, out=g["feat_emb"])
+        np.matmul(feats.smooth, dsm, out=g["feat_emb"])
     if cache.pvals is not None:
         pairs = core.pairs
         g = {k: v for k, v in views.items() if k.startswith("pair_")}
@@ -580,7 +576,7 @@ def backward_pass(
             d_ptabs, cache.psm, cache.phidden, pairs.weights, core.activation,
             [(g[f"pair_W{l}"], g[f"pair_b{l}"]) for l in range(len(pairs.weights))],
         )
-        _pair_smooth_backward(pairs, dpsm, g["pair_emb"])
+        _pair_smooth(core, dpsm, out=g["pair_emb"])
     for name, g in grads.items():
         if name != "flat" and not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in {name}")
@@ -678,15 +674,11 @@ def init_core(
         pemb = rng.uniform(-a, a, size=(q, M, M, d))
         pweights = _init_layers(rng, q, [d] + list(hidden_sizes), out_dim)
         pmu0 = pair_gamma / 4.0 if pair_gates_trainable else pair_gamma / 2.0
-        ja = [pr[0] for pr in pairs]
-        jb = [pr[1] for pr in pairs]
         pstack = PairStack(
             pairs=[(int(x), int(y)) for x, y in pairs],
             emb=pemb,
             weights=pweights,
             mu=np.full(q, pmu0),
-            smooth_a=smooth[ja].copy(),
-            smooth_b=smooth[jb].copy(),
             active=np.ones(q, dtype=bool),
         )
     return ModelCore(

@@ -210,15 +210,11 @@ def _core_in(
             pemb[k, :na, :nb] = _floats_in(pr["emb"][k], (na, nb, dims), f"pairs.emb[{k}]")
         active = np.asarray(pr["active"], dtype=np.int64)
         _check(active.shape == (q,), "pairs.active must hold one flag per pair")
-        ja = [a for a, _ in index]
-        jb = [b for _, b in index]
         pairs = PairStack(
             pairs=index,
             emb=pemb,
             weights=_weights_in(pr["weights"], q, dims, out_dim, "pairs"),
             mu=_floats_in(pr["mu"], (q,), "pairs.mu"),
-            smooth_a=smooth[ja].copy(),
-            smooth_b=smooth[jb].copy(),
             active=active.astype(bool),
         )
     return ModelCore(

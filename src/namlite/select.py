@@ -53,12 +53,12 @@ class SelectionConfig:
     select_pairs: bool = False
 
     def validate(self) -> None:
-        if self.reg_param < 0 or self.pair_reg_param < 0:
-            raise ConfigError("regularization parameters must be >= 0")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
-        if self.pair_gamma is not None and self.pair_gamma <= 0:
-            raise ConfigError("pair_gamma must be positive")
+        if not (0 <= self.reg_param < np.inf and 0 <= self.pair_reg_param < np.inf):
+            raise ConfigError("regularization parameters must be non-negative and finite")
+        if self.gamma is not None and not (0 < self.gamma < np.inf):
+            raise ConfigError("gamma must be positive and finite")
+        if self.pair_gamma is not None and not (0 < self.pair_gamma < np.inf):
+            raise ConfigError("pair_gamma must be positive and finite")
 
 
 @dataclass
@@ -264,8 +264,12 @@ def regularization_path(
     score. The feats map keeps the first (smallest lambda) selection seen
     at each count; query it with lookup_feats.
     """
-    if init_reg_param <= 0:
-        raise ConfigError("init_reg_param must be positive")
+    if not (0 < init_reg_param < np.inf):
+        raise ConfigError("init_reg_param must be positive and finite")
+    if not (1 < ladder_factor < np.inf):
+        raise ConfigError("ladder_factor must be above 1 and finite")
+    if max_steps < 1:
+        raise ConfigError("max_steps must be >= 1")
     sel = sel or SelectionConfig()
     run = _build_selection(table, y, cfg, sel, schema)
     records: list[PathRecord] = []

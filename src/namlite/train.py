@@ -112,6 +112,8 @@ class TrainConfig:
             raise ConfigError("kernel parameters must be non-negative and finite")
         if not (0 <= self.pair_select_reg < np.inf):
             raise ConfigError("pair_select_reg must be non-negative and finite")
+        if self.threads is not None and self.threads < 1:
+            raise ConfigError("threads must be >= 1")
         if self.censor_estimator not in ("km", "cox"):
             raise ConfigError("censor_estimator must be 'km' or 'cox'")
         for name, d in self.monotone.items():
@@ -587,16 +589,25 @@ def _train_mains(split: _Split, rng, shuffle_rng) -> tuple[ModelCore, list[dict]
 # --- split models -------------------------------------------------------------
 
 
+def _ungated_tables(core: ModelCore) -> tuple[np.ndarray, np.ndarray]:
+    """The core's outputs per bin, (p, M, out), and per pair cell, (q, M*M, out)."""
+    if core.pairs is None or core.pairs.n_pairs == 0:
+        return bin_tables(core), np.zeros((0, 0, core.out_dim))
+    return bin_tables(core), pair_bin_tables(core)
+
+
 @dataclass
 class SingleSplitModel:
     """One finalized split: `beta0` plus gated, centered per-bin tables.
 
-    `tables()` compiles those tables from the core on first use and keeps
-    them in `_tables`, an attribute that is not a dataclass field, so the
-    persisted weights stay the only saved state. A finalized split is
-    never edited in place: an edit made after the first `tables()` call
-    (any predict or explain export) is not seen by later calls. Concurrent
-    first calls only repeat identical work.
+    `tables()` returns those tables; `finalize` compiles them from the
+    ungated tables it centers with, and a split built otherwise (a loaded
+    one) compiles them on first use. They are kept in `_tables`, an
+    attribute that is not a dataclass field, so the persisted weights stay
+    the only saved state. A split is never edited in place: an edit made
+    after its tables are compiled is not seen by later calls, so a changed
+    split is built anew through the constructor. Concurrent first calls
+    only repeat identical work.
     """
 
     core: ModelCore
@@ -610,16 +621,17 @@ class SingleSplitModel:
         """Centered gated outputs per bin, (p, M, out), and per pair cell, (q, M*M, out)."""
         compiled = getattr(self, "_tables", None)
         if compiled is None:
-            core = self.core
-            feat = core.gates()[:, None, None] * bin_tables(core) - self.c_feat[:, None, :]
-            if core.pairs is not None and core.pairs.n_pairs > 0:
-                ptabs = pair_bin_tables(core)
-                pair = core.pair_gates()[:, None, None] * ptabs - self.c_pair[:, None, :]
-            else:
-                pair = np.zeros((0, 0, core.out_dim))
-            feat.flags.writeable = pair.flags.writeable = False
-            compiled = self._tables = (feat, pair)
+            compiled = self._compile(*_ungated_tables(self.core))
         return compiled
+
+    def _compile(self, tabs: np.ndarray, ptabs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gate and center the core's ungated tables; keep them read-only in `_tables`."""
+        core = self.core
+        feat = core.gates()[:, None, None] * tabs - self.c_feat[:, None, :]
+        pair = core.pair_gates()[:, None, None] * ptabs - self.c_pair[:, None, :]
+        feat.flags.writeable = pair.flags.writeable = False
+        self._tables = (feat, pair)
+        return self._tables
 
     def predict_linked(self, codes: np.ndarray) -> np.ndarray:
         """Centered-route prediction g(beta0 + sum of centered contributions)."""
@@ -638,25 +650,22 @@ class SingleSplitModel:
 
 
 def finalize(core: ModelCore, codes_tr: np.ndarray, history: dict, val_loss: float) -> SingleSplitModel:
-    """Compute centering constants and the post-hoc intercept.
+    """Compute centering constants and the post-hoc intercept; compile the tables.
 
     c_j is the training mean of the gated shape output; beta0 is the sum
     of all c's, so centered and raw routes agree when gates sit at 0 or 1.
     """
-    tabs = bin_tables(core)
-    p = core.feats.n_features
+    tabs, ptabs = _ungated_tables(core)
+    p, q = tabs.shape[0], ptabs.shape[0]
     vals = tabs[np.arange(p)[None, :], codes_tr]
     c_feat = core.gates()[:, None] * vals.mean(axis=0)
-    if core.pairs is not None and core.pairs.n_pairs > 0:
-        ptabs = pair_bin_tables(core)
-        pc = flat_pair_codes(core, codes_tr)
-        q = core.pairs.n_pairs
-        pvals = ptabs[np.arange(q)[None, :], pc]
+    if q:
+        pvals = ptabs[np.arange(q)[None, :], flat_pair_codes(core, codes_tr)]
         c_pair = core.pair_gates()[:, None] * pvals.mean(axis=0)
     else:
         c_pair = np.zeros((0, core.out_dim))
     beta0 = c_feat.sum(axis=0) + c_pair.sum(axis=0)
-    return SingleSplitModel(
+    split = SingleSplitModel(
         core=core,
         beta0=beta0,
         c_feat=c_feat,
@@ -664,6 +673,8 @@ def finalize(core: ModelCore, codes_tr: np.ndarray, history: dict, val_loss: flo
         history=history,
         val_loss=val_loss,
     )
+    split._compile(tabs, ptabs)
+    return split
 
 
 def _bin_counts(bin_maps) -> np.ndarray:
@@ -758,7 +769,6 @@ def fit_pairs(
     rng: np.random.Generator | None = None,
     shuffle_rng: np.random.Generator | None = None,
     eval_times: np.ndarray | None = None,
-    objectives=None,
 ) -> tuple[ModelCore, list[dict]]:
     """Fit pair effects on top of frozen mains; an empty set is a no-op."""
     if not pairs:
@@ -767,12 +777,9 @@ def fit_pairs(
         rng = np.random.default_rng(cfg.seed)
     if shuffle_rng is None:
         shuffle_rng = np.random.default_rng(cfg.seed + 1)
-    if objectives is None:
-        split = _make_split(
-            cfg, codes_tr, y_tr, codes_val, y_val, core.feats.n_bins, eval_times=eval_times
-        )
-    else:
-        split = _Split(cfg, codes_tr, codes_val, *objectives, core.feats.n_bins)
+    split = _make_split(
+        cfg, codes_tr, y_tr, codes_val, y_val, core.feats.n_bins, eval_times=eval_times
+    )
     return core, _train_pairs(split, core, pairs, rng, shuffle_rng)
 
 

@@ -181,6 +181,31 @@ class TestSmoothedEmbedding:
             smoothed_embedding(self.tables, 0, 6, KernelConfig())
 
 
+def _operator_by_loop(n_bins, padded, cfg):
+    """Reference operator: one kernel weight per in-range (bin, offset)."""
+    S = np.zeros((padded, padded))
+    S[0, 0] = 1.0
+    w = kernel_weights(cfg.size, cfg.phi)
+    for i in range(1, n_bins + 1):
+        for o in range(-cfg.size, cfg.size + 1):
+            t = i + o
+            if 1 <= t <= n_bins:
+                S[i, t] += w[o + cfg.size]
+    return S
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7, 3.0, 50.0])
+@pytest.mark.parametrize("pad", [1, 5])
+def test_smoothing_operator_matches_loop_and_is_symmetric(phi, pad):
+    """Backprop multiplies by S where the chain rule has Sᵀ, so S = Sᵀ must hold exactly."""
+    for n in range(41):
+        for size in (0, 2, 5, n, n + 3):
+            cfg = KernelConfig(phi=phi, size=size)
+            S = smoothing_operator(n, n + pad, cfg)
+            np.testing.assert_array_equal(S, _operator_by_loop(n, n + pad, cfg))
+            np.testing.assert_array_equal(S, S.T)
+
+
 class TestPairSmoothedEmbedding:
     def _oracle(self, emb, ia, ib, cfg):
         """Brute-force 2-D neighborhood sum with per-axis clipping."""
@@ -220,6 +245,25 @@ class TestPairSmoothedEmbedding:
         got = pair_smoothed_embedding([emb], 0, (2, 2), cfg)
         np.testing.assert_allclose(got[0], np.exp(-2 / 6))
         np.testing.assert_allclose(got[0], 0.71653, atol=5e-6)
+
+    def test_batched_core_smoothing_matches_reference_every_cell(self):
+        """Unequal, padded bin counts; feature 1 is each pair's second axis."""
+        rng = np.random.default_rng(5)
+        cfg = KernelConfig(phi=3.0, size=2)
+        core = tiny_core(rng, kernel=cfg, pairs=[(0, 1), (2, 1)])
+        M = core.feats.padded
+        codes = np.zeros((1, 3), dtype=np.int64)
+        psm = forward_pass(core, codes).psm.reshape(2, M, M, -1)
+        for k, (ja, jb) in enumerate(core.pairs.pairs):
+            na, nb = (int(core.feats.n_bins[j]) + 1 for j in (ja, jb))
+            emb = core.pairs.emb[k, :na, :nb]
+            for ia in range(M):
+                for ib in range(M):
+                    if ia < na and ib < nb:
+                        want = pair_smoothed_embedding([emb], 0, (ia, ib), cfg)
+                    else:
+                        want = np.zeros(emb.shape[-1])
+                    np.testing.assert_allclose(psm[k, ia, ib], want, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("phi,size", [(0.0, 2), (1.0, 1), (3.0, 2)])
     def test_matches_brute_force_everywhere(self, phi, size):

@@ -25,7 +25,7 @@ from namlite.explain import (
     shape_to_csv,
 )
 from namlite.persist import dumps_model, loads_model, model_hash
-from namlite.train import TrainConfig, fit
+from namlite.train import SingleSplitModel, TrainConfig, fit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,6 +51,7 @@ def _hand_ensemble():
         seed=0,
     )
     ens = fit(table, np.zeros(100), cfg)
+    splits = []
     for sp in ens.splits:
         core = sp.core
         core.feats.emb[0, :, 0] = [0.5, 1.0, -1.0, 2.0]
@@ -62,7 +63,13 @@ def _hand_ensemble():
             w1, b1 = core.feats.weights[1]
             w1[j] = 1.0
             b1[j] = -10.0
-        sp.c_feat[:] = 0.0
+        # A fitted split's tables are compiled, so the edited core goes
+        # into a new split, which compiles its own on first use.
+        splits.append(SingleSplitModel(
+            core=core, beta0=sp.beta0, c_feat=np.zeros_like(sp.c_feat), c_pair=sp.c_pair,
+            history=sp.history, val_loss=sp.val_loss,
+        ))
+    ens.splits = splits
     return ens, table
 
 

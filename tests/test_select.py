@@ -77,6 +77,11 @@ class TestSelectionConfig:
             SelectionConfig(gamma=0.0).validate()
         with pytest.raises(ConfigError):
             SelectionConfig(pair_gamma=-1.0).validate()
+        for kw in ({"reg_param": np.nan}, {"reg_param": np.inf}, {"pair_reg_param": np.nan},
+                   {"pair_reg_param": np.inf}, {"gamma": np.inf}, {"gamma": np.nan},
+                   {"pair_gamma": np.inf}):
+            with pytest.raises(ConfigError):
+                SelectionConfig(**kw).validate()
 
 
 # --- selection ------------------------------------------------------------------
@@ -260,3 +265,10 @@ class TestRegularizationPath:
         table, y = _linear_table(n=100)
         with pytest.raises(ConfigError):
             regularization_path(table, y, _cfg(), 0.0)
+        for start in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                regularization_path(table, y, _cfg(), start)
+        for kw in ({"ladder_factor": 1.0}, {"ladder_factor": 0.5}, {"ladder_factor": np.nan},
+                   {"ladder_factor": np.inf}, {"max_steps": 0}):
+            with pytest.raises(ConfigError):
+                regularization_path(table, y, _cfg(), 0.01, **kw)

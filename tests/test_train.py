@@ -133,6 +133,8 @@ class TestTrainConfig:
             {"kernel_weight": float("inf")},
             {"pair_select_reg": float("nan")},
             {"pair_select_reg": -1.0},
+            {"threads": 0},
+            {"threads": -2},
         ],
     )
     def test_validate_rejects(self, kw):
