@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,9 @@ class BinMap:
     Continuous features store ascending distinct ``edges``; value v maps to
     bin 1 + #{edges < v}. Categorical features store the ordered category
     list; category i maps to bin 1 + i. Bin 0 is always the missing bin.
+    ``edge_array`` and ``category_bins`` are built from those once, on
+    first use; they are not fields, so equality and the saved form do not
+    see them.
     """
 
     feature: str
@@ -76,6 +80,18 @@ class BinMap:
     @property
     def total_bins(self) -> int:
         return self.n_bins + 1
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """``edges`` as a read-only float64 array."""
+        edges = np.array(self.edges, dtype=np.float64)
+        edges.flags.writeable = False
+        return edges
+
+    @cached_property
+    def category_bins(self) -> dict[str, int]:
+        """Bin index of each category."""
+        return {c: i + 1 for i, c in enumerate(self.categories)}
 
     def label(self, index: int) -> str:
         """Human-readable label for one bin index."""
@@ -133,8 +149,12 @@ def _fmt(x: float) -> str:
 # --- table access -----------------------------------------------------------
 
 
-def table_items(table) -> list[tuple[str, list]]:
-    """Normalize a table-like object to [(name, values)] with equal lengths."""
+def table_items(table) -> list[tuple[str, list | np.ndarray]]:
+    """Normalize a table-like object to [(name, values)] with equal lengths.
+
+    List and ndarray columns are passed through as they are, not copied;
+    any other sequence becomes a list.
+    """
     if not hasattr(table, "items"):
         raise DataError(
             "expected a mapping of column name -> values (dict or DataFrame), "
@@ -142,7 +162,9 @@ def table_items(table) -> list[tuple[str, list]]:
         )
     out = []
     for name, vals in table.items():
-        out.append((str(name), list(vals)))
+        if not isinstance(vals, (list, np.ndarray)):
+            vals = list(vals)
+        out.append((str(name), vals))
     if out:
         n = len(out[0][1])
         for name, vals in out:
@@ -153,14 +175,18 @@ def table_items(table) -> list[tuple[str, list]]:
     return out
 
 
-def _parse_numeric(values: list) -> np.ndarray | None:
-    """Parse a column to float64 with NaN for missing, or None if non-numeric."""
+def _parse_numeric(values) -> np.ndarray | None:
+    """Parse a column to float64 with NaN for missing, or None if non-numeric.
+
+    A float64 ndarray column is returned as it is, so callers only read
+    the result.
+    """
     try:
         arr = np.asarray(values)
     except Exception:
         arr = np.asarray(values, dtype=object)
     if arr.dtype.kind in "fiub":
-        return arr.astype(np.float64)
+        return arr.astype(np.float64, copy=False)
     out = np.empty(len(values), dtype=np.float64)
     for i, v in enumerate(values):
         if v is None:
@@ -348,32 +374,53 @@ def transform(table, bin_maps: list[BinMap]) -> BinnedMatrix:
     """Encode a table to bin indices using previously fitted maps.
 
     Missing values map to 0. Categories unseen during fitting also map to
-    0; they carry no information the model was trained on.
+    0; they carry no information the model was trained on. The continuous
+    columns are parsed into one (k, n) float block and checked together;
+    a bad table raises for its first offending column in map order.
     """
     cols = dict(table_items(table))
-    lengths = {len(v) for v in cols.values()}
-    n = lengths.pop() if lengths else 0
+    n = len(next(iter(cols.values()))) if cols else 0
     codes = np.zeros((n, len(bin_maps)), dtype=np.int64)
-    for j, bm in enumerate(bin_maps):
+    cont = [j for j, bm in enumerate(bin_maps) if bm.kind == "continuous"]
+    block = np.empty((len(cont), n))
+    filled = 0
+    # A missing or unparsable column ends the parse, but an infinite value
+    # in an earlier column is still the error raised.
+    error = None
+    for bm in bin_maps:
         if bm.feature not in cols:
-            raise DataError(f"column {bm.feature!r} missing from table")
+            error = f"column {bm.feature!r} missing from table"
+            break
+        if bm.kind != "continuous":
+            continue
         vals = cols[bm.feature]
-        if bm.kind == "continuous":
-            numeric = _parse_numeric(vals)
-            if numeric is None:
-                raise DataError(
-                    f"column {bm.feature!r} is continuous but token "
-                    f"{_first_bad_token(vals)!r} does not parse as a number"
-                )
-            if np.any(np.isinf(numeric)):
-                raise DataError(f"column {bm.feature!r} contains non-finite values")
-            miss = np.isnan(numeric)
-            edges = np.asarray(bm.edges, dtype=np.float64)
-            idx = 1 + np.searchsorted(edges, np.where(miss, 0.0, numeric), side="left")
-            codes[:, j] = np.where(miss, 0, idx)
-        else:
-            lookup = {c: i + 1 for i, c in enumerate(bm.categories)}
+        numeric = _parse_numeric(vals)
+        if numeric is None:
+            error = (
+                f"column {bm.feature!r} is continuous but token "
+                f"{_first_bad_token(vals)!r} does not parse as a number"
+            )
+            break
+        block[filled] = numeric
+        filled += 1
+    inf = np.isinf(block[:filled])
+    if inf.any():
+        bad = bin_maps[cont[int(np.argmax(inf.any(axis=1)))]].feature
+        raise DataError(f"column {bad!r} contains non-finite values")
+    if error is not None:
+        raise DataError(error)
+    idx = np.empty(block.shape, dtype=np.int64)
+    for r, j in enumerate(cont):
+        # NaN sorts after every edge; the missing mask below resets it to 0.
+        idx[r] = bin_maps[j].edge_array.searchsorted(block[r], side="left")
+    idx += 1
+    idx[np.isnan(block)] = 0
+    codes[:, cont] = idx.T
+    for j, bm in enumerate(bin_maps):
+        if bm.kind != "continuous":
+            vals = cols[bm.feature]
             keys = _category_keys(vals, _parse_numeric(vals))
+            lookup = bm.category_bins
             codes[:, j] = [0 if k is None else lookup.get(k, 0) for k in keys]
     return BinnedMatrix(codes=codes, bin_maps=tuple(bin_maps))
 

@@ -167,21 +167,21 @@ def _split_scores(
     """
     gated, pgated = sp.tables()  # (p, M, out), (q, M*M, out)
     p = gated.shape[0]
-    contrib = np.abs(gated[np.arange(p)[None, :], codes]).mean(axis=2)  # (n, p)
+    per_bin = np.abs(gated).mean(axis=2)  # (p, M)
+    contrib = per_bin[np.arange(p)[None, :], codes]  # (n, p)
     observed = codes > 0
     scores = np.zeros(p)
-    missing = np.zeros(p)
+    missing = per_bin[:, 0]
     for j in range(p):
         inc = slice(None) if mode == "include" else observed[:, j]
         col = contrib[inc, j]
         scores[j] = col.mean() if col.size else 0.0
-        missing[j] = np.abs(gated[j, 0]).mean()
     q = pgated.shape[0]
     pscores = np.zeros(q)
     pmissing = np.zeros(q)
     if q:
         pc = flat_pair_codes(sp.core, codes)
-        pcontrib = np.abs(pgated[np.arange(q)[None, :], pc]).mean(axis=2)
+        pcontrib = np.abs(pgated).mean(axis=2)[np.arange(q)[None, :], pc]  # (n, q)
         for k, (ja, jb) in enumerate(sp.core.pairs.pairs):
             both = observed[:, ja] & observed[:, jb]
             inc = slice(None) if mode == "include" else both

@@ -25,6 +25,7 @@ from . import survival as sv
 from .core import (
     KernelConfig,
     ModelCore,
+    _link,
     backward_pass,
     bin_tables,
     copy_params,
@@ -415,15 +416,16 @@ def _run_phase(
             epoch_loss += loss * rows.size / n_tr
         if phase.prune:
             _prune(core, adam, phase)
-        vcache = forward_pass(
+        # Keep only eta: the cache's per-row arrays would outlive the epoch.
+        val_eta = forward_pass(
             core,
             codes_val,
             pair_codes=pc_val,
             eta_offset=off_val,
             compute_feats=phase.train_feats,
             compute_pairs=phase.train_pairs,
-        )
-        val = obj_val.loss(vcache.eta, val_rows) + _reg_value(core, phase)
+        ).eta
+        val = obj_val.loss(val_eta, val_rows) + _reg_value(core, phase)
         if not np.isfinite(val):
             raise TrainingError(
                 f"validation loss diverged at epoch {epoch} ({phase.name} phase)"
@@ -849,6 +851,10 @@ def _select_pairs(
 
 # --- ensemble -----------------------------------------------------------------
 
+# Cells one predict gather reads at most; larger batches go in row blocks,
+# so batch predict memory does not grow with the number of splits.
+_GATHER_CELLS = 1 << 16
+
 
 @dataclass
 class EnsembleModel:
@@ -878,11 +884,60 @@ class EnsembleModel:
         return self.predict_codes(codes)
 
     def predict_codes(self, codes: np.ndarray) -> np.ndarray:
-        preds = [sp.predict_linked(codes) for sp in self.splits]
-        avg = np.mean(preds, axis=0)
+        """Mean over splits of g(beta0 + sum of centered contributions).
+
+        One gather reads every split's cells for a block of rows, features
+        and then pairs; the link applies per split before the average.
+        """
+        flat, offsets, beta0 = self._stacked()
+        core = self.splits[0].core
+        p = codes.shape[1]
+        n, out = codes.shape[0], beta0.shape[1]
+        pred = np.empty((n, out))
+        step = max(1, _GATHER_CELLS // (offsets.size * out))
+        for s in range(0, n, step):
+            c = codes[s : s + step]
+            pc = flat_pair_codes(core, c)
+            if pc is not None:
+                c = np.concatenate([c, pc], axis=1)
+            vals = flat[offsets[:, None, :] + c]  # (K, rows, p + q, out)
+            eta = beta0[:, None, :] + np.einsum("kbto->kbo", vals[:, :, :p])
+            if pc is not None:
+                eta = eta + np.einsum("kbto->kbo", vals[:, :, p:])
+            pred[s : s + step] = _link(eta, core.link).mean(axis=0)
         if self.task == "survival":
-            return avg
-        return avg[:, 0]
+            return pred
+        return pred[:, 0]
+
+    def _stacked(self):
+        """Every split's compiled tables as one (cells, out) table, built on first use.
+
+        Returns that table; `offsets`, (K, p + q), the first row of split
+        k's table for each feature and then each pair; and `beta0`,
+        (K, out). Every split reads pair codes as split 0's core makes
+        them. The result is kept in `_stacked_memo`, not a dataclass
+        field, with the split tables it was built from, and built again
+        when any of them is not the one a split now returns.
+        """
+        tables = [sp.tables() for sp in self.splits]
+        memo = getattr(self, "_stacked_memo", None)
+        if memo is not None and len(memo[0]) == len(tables) and all(
+            a is b for a, b in zip(memo[0], tables)
+        ):
+            return memo[1]
+        feat = np.stack([t[0] for t in tables])  # (K, p, M, out)
+        pair = np.stack([t[1] for t in tables])  # (K, q, M*M, out)
+        K, p, M, out = feat.shape
+        q, MM = pair.shape[1:3]
+        flat = np.concatenate(
+            [feat.reshape(K, p * M, out), pair.reshape(K, q * MM, out)], axis=1
+        ).reshape(-1, out)
+        starts = np.concatenate([np.arange(p) * M, p * M + np.arange(q) * MM])
+        offsets = np.arange(K)[:, None] * (p * M + q * MM) + starts
+        beta0 = np.stack([sp.beta0 for sp in self.splits])
+        stacked = (flat, offsets, beta0)
+        self._stacked_memo = (tables, stacked)
+        return stacked
 
 
 def _usable_cpus() -> int:

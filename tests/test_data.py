@@ -8,8 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from namlite.data import (
+    MISSING_TOKENS,
     BinMap,
+    BinnedMatrix,
     FeatureSchema,
+    _category_keys,
+    _first_bad_token,
+    _parse_numeric,
     apply_schema_override,
     default_min_samples_per_bin,
     fit_bins,
@@ -213,6 +218,158 @@ class TestTransform:
     def test_binmap_dict_round_trip(self):
         for bm in (self.bm, self.cat):
             assert BinMap.from_dict(bm.to_dict()) == bm
+
+
+def _transform_per_column(table, bin_maps):
+    """Oracle: the column-at-a-time transform, each column copied to a list."""
+    cols = {str(name): list(vals) for name, vals in table.items()}
+    lengths = {len(v) for v in cols.values()}
+    n = lengths.pop() if lengths else 0
+    codes = np.zeros((n, len(bin_maps)), dtype=np.int64)
+    for j, bm in enumerate(bin_maps):
+        if bm.feature not in cols:
+            raise DataError(f"column {bm.feature!r} missing from table")
+        vals = cols[bm.feature]
+        if bm.kind == "continuous":
+            numeric = _parse_numeric(vals)
+            if numeric is None:
+                raise DataError(
+                    f"column {bm.feature!r} is continuous but token "
+                    f"{_first_bad_token(vals)!r} does not parse as a number"
+                )
+            if np.any(np.isinf(numeric)):
+                raise DataError(f"column {bm.feature!r} contains non-finite values")
+            miss = np.isnan(numeric)
+            edges = np.asarray(bm.edges, dtype=np.float64)
+            idx = 1 + np.searchsorted(edges, np.where(miss, 0.0, numeric), side="left")
+            codes[:, j] = np.where(miss, 0, idx)
+        else:
+            lookup = {c: i + 1 for i, c in enumerate(bm.categories)}
+            keys = _category_keys(vals, _parse_numeric(vals))
+            codes[:, j] = [0 if k is None else lookup.get(k, 0) for k in keys]
+    return BinnedMatrix(codes=codes, bin_maps=tuple(bin_maps))
+
+
+def _error_text(fn, *args) -> str:
+    with pytest.raises(DataError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestTransformOracle:
+    """The block transform gives the per-column oracle's codes and errors."""
+
+    MAPS = [
+        BinMap("a", "continuous", edges=(-1.0, 0.0, 0.5, 2.0)),
+        BinMap("color", "categorical", categories=("blue", "green", "red")),
+        BinMap("b", "continuous", edges=(10.0,)),
+        BinMap("grade", "categorical", categories=("1.0", "2.0", "3.5")),
+        BinMap("flag", "binary", categories=("no", "yes")),
+        BinMap("c", "continuous", edges=(0.0, 1.0, 2.0, 3.0, 4.0)),
+    ]
+
+    def _tables(self, n: int, seed: int) -> list[dict]:
+        """One table in several column representations, missing values included."""
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=n)
+        b = rng.uniform(5.0, 15.0, n)
+        c = rng.uniform(-1.0, 5.0, n).round(0)  # hits the edges exactly
+        a[rng.uniform(size=n) < 0.2] = np.nan
+        b_tok = [str(v) for v in b]
+        for i in np.flatnonzero(rng.uniform(size=n) < 0.3):
+            b_tok[i] = rng.choice(sorted(MISSING_TOKENS) + [" NA ", "NaN"])
+        color = rng.choice(["red", "green", "blue", "pink", "", " red "], n).tolist()
+        grade = rng.choice([1.0, 2.0, 3.5, 4.0, np.nan], n)
+        flag = rng.choice(["yes", "no", "null"], n).tolist()
+        color_none = [None if i % 4 == 0 else v for i, v in enumerate(color)]
+        return [
+            {"a": a.tolist(), "color": color, "b": b_tok, "grade": grade.tolist(),
+             "flag": flag, "c": c.tolist()},
+            {"a": a, "color": np.array(color), "b": np.array(b_tok), "grade": grade,
+             "flag": np.array(flag), "c": c},
+            {"a": np.array(a, dtype=object), "color": np.array(color_none, dtype=object),
+             "b": np.array(b_tok, dtype=object), "grade": np.array(grade, dtype=object),
+             "flag": np.array(flag, dtype=object), "c": c.astype(np.int64)},
+            {"a": [None if math.isnan(v) else v for v in a], "color": color_none,
+             "b": b.astype(np.float32), "grade": [str(v) for v in grade],
+             "flag": tuple(flag), "c": [int(v) for v in c]},
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 500])
+    def test_codes_match_oracle(self, n):
+        for seed in range(3):
+            for table in self._tables(n, seed):
+                got = transform(table, self.MAPS)
+                want = _transform_per_column(table, self.MAPS)
+                assert got.codes.dtype == np.int64
+                assert got.codes.shape == (n, len(self.MAPS))
+                np.testing.assert_array_equal(got.codes, want.codes)
+                assert got.bin_maps == want.bin_maps
+
+    def test_rows_match_their_batch(self):
+        table = self._tables(40, 5)[1]
+        batch = transform(table, self.MAPS).codes
+        for i in range(40):
+            row = {k: v[i : i + 1] for k, v in table.items()}
+            np.testing.assert_array_equal(transform(row, self.MAPS).codes[0], batch[i])
+
+    def test_numeric_categories_and_unseen(self):
+        table = {"a": [0.1] * 4, "color": ["red", "pink", None, "blue"], "b": [1.0] * 4,
+                 "grade": [2, 3.5, 4, None], "flag": ["yes", "maybe", "no", "NA"],
+                 "c": [1.0] * 4}
+        codes = transform(table, self.MAPS).codes
+        np.testing.assert_array_equal(codes[:, 1], [3, 0, 0, 1])
+        np.testing.assert_array_equal(codes[:, 3], [2, 3, 0, 0])
+        np.testing.assert_array_equal(codes[:, 4], [2, 0, 1, 0])
+        np.testing.assert_array_equal(codes, _transform_per_column(table, self.MAPS).codes)
+
+    def test_input_columns_are_not_changed(self):
+        table = self._tables(30, 1)[1]
+        before = {k: v.copy() for k, v in table.items()}
+        transform(table, self.MAPS)
+        for k, v in table.items():
+            np.testing.assert_array_equal(v, before[k])
+
+    @pytest.mark.parametrize("edit, column", [
+        ({"b": ["1.0", "bad", "2.0"]}, "b"),
+        ({"b": [1.0, np.inf, 2.0]}, "b"),
+        ({"b": [1.0, -np.inf, 2.0]}, "b"),
+        ({"b": ["1.0", "-inf", None]}, "b"),
+        ({"a": [1.0, 2.0, np.inf], "b": ["1.0", "bad", "2.0"]}, "a"),
+        ({"b": [np.inf, 1.0, 1.0], "c": ["x", "1", "2"]}, "b"),
+        ({"b": ["bad", 1.0, 1.0], "c": [np.inf, 1.0, 1.0]}, "b"),
+        ({"c": [1.0, 2.0, np.inf]}, "c"),
+        ({"b": None}, "b"),
+        ({"grade": None, "c": [np.inf, 1.0, 1.0]}, "grade"),
+        ({"c": None, "b": [np.inf, 1.0, 1.0]}, "b"),
+    ])
+    def test_errors_match_oracle(self, edit, column):
+        """The first offending column in map order is the one named."""
+        table = {"a": [0.0, 1.0, None], "color": ["red"] * 3, "b": [11.0, 9.0, 10.0],
+                 "grade": [1.0, 2.0, 3.5], "flag": ["yes", "no", "yes"],
+                 "c": [0.0, 1.5, 4.5]}
+        for k, v in edit.items():
+            if v is None:
+                del table[k]
+            else:
+                table[k] = v
+        for cast in (list, np.asarray):
+            t = {k: cast(v) if k in edit else v for k, v in table.items()}
+            got = _error_text(transform, t, self.MAPS)
+            assert got == _error_text(_transform_per_column, t, self.MAPS)
+            assert got.startswith(f"column {column!r} ")
+
+    def test_binmap_caches_are_not_fields(self):
+        bm = BinMap("x", "continuous", edges=(1.0, 2.0))
+        before = bm.to_dict()
+        np.testing.assert_array_equal(bm.edge_array, [1.0, 2.0])
+        assert not bm.edge_array.flags.writeable
+        assert bm.edge_array is bm.edge_array
+        cat = BinMap("c", "categorical", categories=("A", "B"))
+        assert cat.category_bins == {"A": 1, "B": 2}
+        assert bm.to_dict() == before
+        assert bm == BinMap("x", "continuous", edges=(1.0, 2.0))
+        assert hash(bm) == hash(BinMap("x", "continuous", edges=(1.0, 2.0)))
 
 
 # --- folds --------------------------------------------------------------------

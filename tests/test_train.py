@@ -15,9 +15,9 @@ from namlite.core import (
     param_dict,
     param_span,
 )
-from namlite.data import split_folds
+from namlite.data import split_folds, transform
 from namlite.errors import ConfigError, DataError
-from namlite.persist import dumps_model, model_hash
+from namlite.persist import dumps_model, loads_model, model_hash
 from namlite.survival import as_survival_labels, censoring_curve
 from namlite.train import (
     Adam,
@@ -391,6 +391,79 @@ class TestFit:
         table = self._table(rng, 50)
         with pytest.raises(DataError):
             fit(table, {"event": [True], "time": [1.0]}, _fast_cfg(task="survival"))
+
+
+class TestEnsemblePredict:
+    """`predict_codes` gathers every split at once; the oracle averages split by split."""
+
+    def _fit(self, task: str):
+        rng = np.random.default_rng(21)
+        n = 240
+        table = {"x1": rng.normal(size=n), "x2": rng.uniform(size=n),
+                 "g": rng.choice(["a", "b", "c"], n).tolist()}
+        table["x1"][::17] = np.nan
+        cfg = dict(n_val_splits=3, max_epochs=3)
+        pairs = None
+        if task == "regression":
+            y = table["x2"] + np.nan_to_num(table["x1"])
+        elif task == "classification":
+            y = (rng.uniform(size=n) < table["x2"]).astype(float)
+            pairs = [("x1", "x2"), ("x2", "g")]
+        else:
+            t = rng.exponential(1.0, n) + 0.01
+            c = rng.exponential(2.0, n)
+            y = {"event": t <= c, "time": np.minimum(t, c)}
+            cfg["n_eval_times"] = 6
+        ens = fit(table, y, _fast_cfg(task=task, **cfg), selected_pairs=pairs)
+        return ens, table
+
+    @staticmethod
+    def _per_split(ens, codes):
+        avg = np.mean([sp.predict_linked(codes) for sp in ens.splits], axis=0)
+        return avg if ens.task == "survival" else avg[:, 0]
+
+    @pytest.mark.parametrize("task", ["regression", "classification", "survival"])
+    def test_matches_per_split_average(self, task, monkeypatch):
+        ens, table = self._fit(task)
+        if task == "classification":
+            assert ens.splits[0].core.link == "sigmoid" and len(ens.selected_pairs) == 2
+        codes = transform(table, ens.bin_maps).codes
+        want = self._per_split(ens, codes)
+        got = ens.predict(table)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # Row blocks: a one-cell limit gathers each row on its own.
+        for cells in (1, 97):
+            monkeypatch.setattr(train, "_GATHER_CELLS", cells)
+            np.testing.assert_allclose(ens.predict(table), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("task", ["regression", "classification", "survival"])
+    def test_row_equals_batch_and_loaded_model(self, task):
+        ens, table = self._fit(task)
+        text = dumps_model(ens)
+        digest = model_hash(ens)
+        batch = ens.predict(table)
+        for i in (0, 17, 239):
+            row = {k: v[i : i + 1] for k, v in table.items()}
+            np.testing.assert_array_equal(ens.predict(row)[0], batch[i])
+        empty = ens.predict({k: v[:0] for k, v in table.items()})
+        assert empty.shape == (0,) + batch.shape[1:]
+        loaded = loads_model(text)
+        np.testing.assert_array_equal(loaded.predict(table), batch)
+        assert dumps_model(ens) == text
+        assert model_hash(ens) == digest
+        assert model_hash(loaded) == digest
+
+    def test_new_split_tables_are_seen(self):
+        """Replacing a split rebuilds the stacked table rather than reusing it."""
+        ens, table = self._fit("regression")
+        before = ens.predict(table)
+        sp = ens.splits[1]
+        ens.splits[1] = train.SingleSplitModel(
+            core=sp.core, beta0=sp.beta0 + 1.0, c_feat=sp.c_feat, c_pair=sp.c_pair,
+            history=sp.history, val_loss=sp.val_loss,
+        )
+        np.testing.assert_allclose(ens.predict(table), before + 1.0 / 3.0, rtol=0, atol=1e-12)
 
 
 # --- optimizer over flat parameter buffers ------------------------------------
