@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import survival as sv
 from .core import forward_pass, sigmoid
 from .data import fit_bins, split_folds, transform
 from .errors import ConfigError
@@ -117,9 +118,10 @@ def _build_selection(table, y, cfg: TrainConfig, sel: SelectionConfig, schema):
     y = _normalize_targets(cfg.task, y, n)
     names = [bm.feature for bm in bin_maps]
     mono = _mono_vector(cfg, names)
+    eval_times = sv.eval_time_grid(y, cfg.n_eval_times) if cfg.task == "survival" else None
     tr, va = split_folds(n, cfg.n_val_splits, cfg.seed)[0]
     split = _make_split(
-        cfg, codes[tr], y[tr], codes[va], y[va], _bin_counts(bin_maps), mono,
+        cfg, codes[tr], y[tr], codes[va], y[va], _bin_counts(bin_maps), mono, eval_times,
         seed_seq=np.random.SeedSequence(cfg.seed).spawn(cfg.n_val_splits)[0],
     )
     gamma = sel.gamma or default_gamma(tr.size, cfg.batch_size, cfg.embedding_dim)

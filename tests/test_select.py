@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import namlite
-from namlite import train
+from namlite import survival, train
 from namlite.errors import ConfigError
 from namlite.select import (
     SelectionConfig,
@@ -140,6 +140,38 @@ class TestSelectFeatures:
         a = select_features(table, y, _cfg(max_epochs=5), sel)
         b = select_features(table, y, _cfg(max_epochs=5), sel)
         assert a.gate_values == b.gate_values
+
+
+class TestSurvivalGrid:
+    @pytest.mark.parametrize("entry", ["select_features", "regularization_path"])
+    def test_ipcw_weights_use_fits_eval_times(self, monkeypatch, entry):
+        rng = np.random.default_rng(11)
+        n = 300
+        table = {f"x{j}": rng.uniform(-1, 1, n) for j in range(3)}
+        t_event = rng.exponential(np.exp(-table["x0"]))
+        t_censor = rng.exponential(1.5, n)
+        y = survival.as_survival_labels((t_event <= t_censor, np.minimum(t_event, t_censor)))
+        cfg = _cfg(task="survival", n_eval_times=6, max_epochs=2)
+        grid = fit(table, y, cfg).eval_times
+        tr = namlite.data.split_folds(n, cfg.n_val_splits, cfg.seed)[0][0]
+        # The training fold's own grid differs, so the check can tell them apart.
+        assert not np.array_equal(survival.eval_time_grid(y[tr], cfg.n_eval_times), grid)
+
+        seen = []
+        real = survival.ipcw_weights
+
+        def recording(labels, eval_times, censor):
+            seen.append(np.array(eval_times))
+            return real(labels, eval_times, censor)
+
+        monkeypatch.setattr(survival, "ipcw_weights", recording)
+        if entry == "select_features":
+            select_features(table, y, cfg, SelectionConfig(reg_param=1e-3))
+        else:
+            regularization_path(table, y, cfg, 1e-3, max_steps=2)
+        assert len(seen) == 2  # the training and the validation fold's weights
+        for times in seen:
+            np.testing.assert_array_equal(times, grid)
 
 
 # --- ranking score ----------------------------------------------------------------
