@@ -7,22 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import survival as sv
 from .core import forward_pass, sigmoid
-from .data import fit_bins, split_folds, transform
 from .errors import ConfigError
-from .train import (
-    TrainConfig,
-    _bin_counts,
-    _make_split,
-    _mono_vector,
-    _normalize_targets,
-    _pair_universe,
-    _Phase,
-    _resolve_features,
-    _Split,
-    _train_mains,
-)
+from .train import TrainConfig, _pair_universe, _Phase, _prepare, _Split, _train_mains
 
 __all__ = [
     "SelectionConfig",
@@ -108,23 +95,12 @@ class _SelectionRun:
 
 
 def _build_selection(table, y, cfg: TrainConfig, sel: SelectionConfig, schema):
-    """Split 0 of `fit`'s folds, with a gated core over every feature."""
-    cfg.validate()
+    """Split 0 of `fit`'s pipeline, with a gated core over every feature."""
+    prep = _prepare(table, y, cfg, schema)
     sel.validate()
-    schema = _resolve_features(table, schema, None)
-    bin_maps = fit_bins(table, schema, cfg.max_bins, cfg.min_samples_per_bin)
-    codes = transform(table, bin_maps).codes
-    n = codes.shape[0]
-    y = _normalize_targets(cfg.task, y, n)
-    names = [bm.feature for bm in bin_maps]
-    mono = _mono_vector(cfg, names)
-    eval_times = sv.eval_time_grid(y, cfg.n_eval_times) if cfg.task == "survival" else None
-    tr, va = split_folds(n, cfg.n_val_splits, cfg.seed)[0]
-    split = _make_split(
-        cfg, codes[tr], y[tr], codes[va], y[va], _bin_counts(bin_maps), mono, eval_times,
-        seed_seq=np.random.SeedSequence(cfg.seed).spawn(cfg.n_val_splits)[0],
-    )
-    gamma = sel.gamma or default_gamma(tr.size, cfg.batch_size, cfg.embedding_dim)
+    split = prep.split(0)
+    names = prep.feature_names
+    gamma = sel.gamma or default_gamma(split.codes_tr.shape[0], cfg.batch_size, cfg.embedding_dim)
     pair_gamma = sel.pair_gamma or gamma / 4.0
     init_rng, shuffle_rng = split.rngs()
     universe: list[tuple[int, int]] = []

@@ -5,12 +5,15 @@ gates only move during selection phases, so a finalized model always
 satisfies the saturated-gate centering identity. Pair effects train
 against frozen mains whose per-sample contribution is precomputed once.
 
-Each train/validation fold gets one split context (`_Split`), built once:
-its bin codes, its two objectives, its seed and a factory for cores with
-the config's architecture. One pipeline, `fit_single_split`, trains every
-split of `fit`. Pairs are screened once, on split 0's context and trained
-mains, and split 0 keeps those mains. `select_features` and
-`regularization_path` train their gates on the same split 0 context.
+`_prepare` does the setup that `fit`, `select_features` and
+`regularization_path` share, once per call: it bins the table, normalizes
+the targets, and fixes the monotone directions, the survival evaluation
+grid, the folds and one seed per fold. Its `split(i)` builds fold i's
+context (`_Split`): the bin codes, the two objectives, the seed and a
+factory for cores with the config's architecture. `fit_single_split`
+trains every split of `fit`. Pairs are screened once, on split 0's
+trained mains, and split 0 keeps those mains. Selection trains its gates
+on `split(0)`, the same fold that `fit` trains first.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ __all__ = [
     "loss_bce",
     "loss_ipcw",
     "fit_single_split",
-    "fit_pairs",
     "finalize",
     "fit",
     "predict",
@@ -525,8 +527,8 @@ class _Split:
     obj_tr: object
     obj_val: object
     n_bins: np.ndarray
-    mono_dir: np.ndarray | None = None
-    seed_seq: np.random.SeedSequence | None = None
+    mono_dir: np.ndarray
+    seed_seq: np.random.SeedSequence
 
     def rngs(self) -> tuple[np.random.Generator, np.random.Generator]:
         """Fresh (init, shuffle) generators: each call spawns two new children."""
@@ -563,23 +565,73 @@ def _make_split(
     codes_val: np.ndarray,
     y_val,
     n_bins: np.ndarray,
-    mono_dir: np.ndarray | None = None,
-    eval_times: np.ndarray | None = None,
-    seed_seq: np.random.SeedSequence | None = None,
+    mono_dir: np.ndarray,
+    eval_times: np.ndarray | None,
+    seed_seq: np.random.SeedSequence,
 ) -> _Split:
-    """A fold's context; its objectives, censoring model included, are built here."""
+    """A fold's context; its objectives, censoring model included, are built here.
+
+    `eval_times` is the survival grid, None for the other tasks.
+    """
     if cfg.task == "survival":
-        if eval_times is None:
-            eval_times = sv.eval_time_grid(y_tr, cfg.n_eval_times)
         censor = _censor_model(cfg, y_tr, codes_tr)
         w1, w2 = sv.ipcw_weights(y_tr, eval_times, _censor_for(censor, codes_tr))
         v1, v2 = sv.ipcw_weights(y_val, eval_times, _censor_for(censor, codes_val))
         obj_tr, obj_val = _IpcwObjective(w1, w2), _IpcwObjective(v1, v2)
     else:
         obj_tr, obj_val = _OBJECTIVES[cfg.task](y_tr), _OBJECTIVES[cfg.task](y_val)
-    if seed_seq is None:
-        seed_seq = np.random.SeedSequence(cfg.seed)
     return _Split(cfg, codes_tr, codes_val, obj_tr, obj_val, n_bins, mono_dir, seed_seq)
+
+
+@dataclass
+class _Prepared:
+    """`fit`'s setup, done once: bin codes, targets and the fold policy.
+
+    `split(i)` builds fold i's context. `fit` trains every fold from it;
+    `select_features` and `regularization_path` train on `split(0)`. So
+    all three see the same folds, seeds and survival grid.
+    """
+
+    cfg: TrainConfig
+    schema: list[FeatureSchema]
+    bin_maps: list[BinMap]
+    codes: np.ndarray
+    y: np.ndarray
+    n_bins: np.ndarray
+    mono_dir: np.ndarray
+    eval_times: np.ndarray | None
+    folds: list[tuple[np.ndarray, np.ndarray]]
+    seeds: list[np.random.SeedSequence]
+
+    @property
+    def feature_names(self) -> list[str]:
+        return [bm.feature for bm in self.bin_maps]
+
+    def split(self, i: int) -> _Split:
+        tr, va = self.folds[i]
+        return _make_split(
+            self.cfg, self.codes[tr], self.y[tr], self.codes[va], self.y[va], self.n_bins,
+            self.mono_dir, self.eval_times, self.seeds[i],
+        )
+
+
+def _prepare(table, y, cfg: TrainConfig, schema, selected_feats=None) -> _Prepared:
+    """Validate `cfg`, then bin the table and normalize the targets once."""
+    cfg.validate()
+    schema = _resolve_features(table, schema, selected_feats)
+    bin_maps = fit_bins(table, schema, cfg.max_bins, cfg.min_samples_per_bin)
+    codes = transform(table, bin_maps).codes
+    n = codes.shape[0]
+    y = _normalize_targets(cfg.task, y, n)
+    eval_times = sv.eval_time_grid(y, cfg.n_eval_times) if cfg.task == "survival" else None
+    return _Prepared(
+        cfg, schema, bin_maps, codes, y,
+        np.array([bm.n_bins for bm in bin_maps], dtype=np.int64),
+        _mono_vector(cfg, [bm.feature for bm in bin_maps]),
+        eval_times,
+        split_folds(n, cfg.n_val_splits, cfg.seed),
+        np.random.SeedSequence(cfg.seed).spawn(cfg.n_val_splits),
+    )
 
 
 def _train_mains(split: _Split, rng, shuffle_rng) -> tuple[ModelCore, list[dict]]:
@@ -679,10 +731,6 @@ def finalize(core: ModelCore, codes_tr: np.ndarray, history: dict, val_loss: flo
     return split
 
 
-def _bin_counts(bin_maps) -> np.ndarray:
-    return np.array([bm.n_bins for bm in bin_maps], dtype=np.int64)
-
-
 def _mono_vector(cfg: TrainConfig, feature_names: list[str]) -> np.ndarray:
     mono = np.zeros(len(feature_names), dtype=np.int64)
     for name, d in cfg.monotone.items():
@@ -693,35 +741,20 @@ def _mono_vector(cfg: TrainConfig, feature_names: list[str]) -> np.ndarray:
 
 
 def fit_single_split(
-    codes_tr: np.ndarray,
-    y_tr,
-    codes_val: np.ndarray,
-    y_val,
-    n_bins: np.ndarray,
-    cfg: TrainConfig,
-    *,
-    pairs: list | None = None,
-    eval_times: np.ndarray | None = None,
-    mono_dir: np.ndarray | None = None,
-    seed_seq: np.random.SeedSequence | None = None,
-    _screened: tuple | None = None,
+    split: _Split, pairs: list | None = None, trained: tuple | None = None
 ) -> SingleSplitModel:
-    """Train mains (and optionally pairs) on one train/validation split.
+    """Train mains, and then `pairs` on top of them, on one split.
 
     Gates stay fixed at 1 throughout; early stopping restores the epoch
-    with the lowest validation loss. `_screened` is the (split, core,
-    mains history) that pair screening left on this fold; its mains are
-    kept, and the pair phase draws fresh streams from the split's seed.
+    with the lowest validation loss. `trained` is the (core, mains
+    history) that pair screening left on this split; its mains are kept,
+    and the pair phase draws fresh streams from the split's seed.
     """
-    if _screened is None:
-        split = _make_split(
-            cfg, codes_tr, y_tr, codes_val, y_val, n_bins, mono_dir, eval_times, seed_seq
-        )
-        rng, shuffle_rng = split.rngs()
+    rng, shuffle_rng = split.rngs()
+    if trained is None:
         core, mains = _train_mains(split, rng, shuffle_rng)
     else:
-        split, core, mains = _screened
-        rng, shuffle_rng = split.rngs()
+        core, mains = trained
     history = {"mains": mains}
     if pairs:
         history["pairs"] = _train_pairs(split, core, pairs, rng, shuffle_rng)
@@ -757,32 +790,6 @@ def _train_pairs(split: _Split, core: ModelCore, pairs: list, rng, shuffle_rng) 
     """Attach fixed-gate pairs to `core` and train them on its frozen mains."""
     _attach_pairs(split, core, pairs, rng, core.pair_gamma, trainable_gates=False)
     return split.run(core, _Phase("pairs", train_pairs=True), shuffle_rng)
-
-
-def fit_pairs(
-    core: ModelCore,
-    pairs: list,
-    codes_tr: np.ndarray,
-    y_tr,
-    codes_val: np.ndarray,
-    y_val,
-    cfg: TrainConfig,
-    *,
-    rng: np.random.Generator | None = None,
-    shuffle_rng: np.random.Generator | None = None,
-    eval_times: np.ndarray | None = None,
-) -> tuple[ModelCore, list[dict]]:
-    """Fit pair effects on top of frozen mains; an empty set is a no-op."""
-    if not pairs:
-        return core, []
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    if shuffle_rng is None:
-        shuffle_rng = np.random.default_rng(cfg.seed + 1)
-    split = _make_split(
-        cfg, codes_tr, y_tr, codes_val, y_val, core.feats.n_bins, eval_times=eval_times
-    )
-    return core, _train_pairs(split, core, pairs, rng, shuffle_rng)
 
 
 # --- pair selection on the first split ----------------------------------------
@@ -975,22 +982,8 @@ def fit(
     Each split trains on its own train/validation fold; predictions are
     averaged across splits after the link.
     """
-    cfg.validate()
-    schema = _resolve_features(table, schema, selected_feats)
-    bin_maps = fit_bins(table, schema, cfg.max_bins, cfg.min_samples_per_bin)
-    binned = transform(table, bin_maps)
-    codes = binned.codes
-    n = codes.shape[0]
-    y = _normalize_targets(cfg.task, y, n)
-    feature_names = [bm.feature for bm in bin_maps]
-    mono = _mono_vector(cfg, feature_names)
-    n_bins = _bin_counts(bin_maps)
-    eval_times = None
-    if cfg.task == "survival":
-        eval_times = sv.eval_time_grid(y, cfg.n_eval_times)
-    folds = split_folds(n, cfg.n_val_splits, cfg.seed)
-    split_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_val_splits)
-
+    prep = _prepare(table, y, cfg, schema, selected_feats)
+    feature_names = prep.feature_names
     pair_idx: list[tuple[int, int]] = []
     screened = None
     if selected_pairs:
@@ -1003,25 +996,15 @@ def fit(
     elif cfg.num_pairs > 0 and len(feature_names) >= 2:
         # Pairs are screened once, on split 0's trained mains; split 0
         # keeps those mains and trains the chosen pairs on top.
-        tr, va = folds[0]
-        split = _make_split(
-            cfg, codes[tr], y[tr], codes[va], y[va], n_bins, mono, eval_times, split_seeds[0]
-        )
+        split = prep.split(0)
         rng, shuffle_rng = split.rngs()
         core, mains = _train_mains(split, rng, shuffle_rng)
         pair_idx = _select_pairs(split, core, rng, shuffle_rng)
-        screened = (split, core, mains)
+        screened = (split, (core, mains))
 
     def run_split(i: int) -> SingleSplitModel:
-        tr, va = folds[i]
-        return fit_single_split(
-            codes[tr], y[tr], codes[va], y[va], n_bins, cfg,
-            pairs=pair_idx or None,
-            eval_times=eval_times,
-            mono_dir=mono,
-            seed_seq=split_seeds[i],
-            _screened=screened if i == 0 else None,
-        )
+        split, trained = screened if i == 0 and screened else (prep.split(i), None)
+        return fit_single_split(split, pairs=pair_idx, trained=trained)
 
     threads = cfg.threads or min(cfg.n_val_splits, _usable_cpus())
     if threads > 1:
@@ -1035,11 +1018,11 @@ def fit(
         config=replace(
             cfg, hidden_sizes=tuple(cfg.hidden_sizes), monotone=dict(cfg.monotone)
         ),
-        schema=schema,
-        bin_maps=list(bin_maps),
+        schema=prep.schema,
+        bin_maps=list(prep.bin_maps),
         selected_pairs=pair_names,
-        eval_times=eval_times,
-        n_samples=n,
+        eval_times=prep.eval_times,
+        n_samples=prep.codes.shape[0],
         splits=splits,
     )
 

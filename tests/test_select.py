@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import namlite
-from namlite import survival, train
+from namlite import select, survival, train
 from namlite.errors import ConfigError
 from namlite.select import (
     SelectionConfig,
@@ -142,15 +142,45 @@ class TestSelectFeatures:
         assert a.gate_values == b.gate_values
 
 
-class TestSurvivalGrid:
+def _survival_table(seed=11, n=300):
+    rng = np.random.default_rng(seed)
+    table = {f"x{j}": rng.uniform(-1, 1, n) for j in range(3)}
+    t_event = rng.exponential(np.exp(-table["x0"]))
+    t_censor = rng.exponential(1.5, n)
+    y = survival.as_survival_labels((t_event <= t_censor, np.minimum(t_event, t_censor)))
+    return table, y
+
+
+class TestSharedSplit:
+    """Selection trains on `fit`'s split 0: same fold, seed and survival grid."""
+
+    def test_select_split_is_fits_split_0(self, monkeypatch):
+        table, y = _survival_table()
+        cfg = _cfg(task="survival", n_eval_times=6, max_epochs=1, threads=1,
+                   censor_estimator="cox")
+        fit_splits = []
+        real = train.fit_single_split
+
+        def recording(split, *args, **kwargs):
+            fit_splits.append(split)
+            return real(split, *args, **kwargs)
+
+        monkeypatch.setattr(train, "fit_single_split", recording)
+        fit(table, y, cfg)
+        ours = select._build_selection(table, y, cfg, SelectionConfig(), None).split
+        theirs = fit_splits[0]
+        np.testing.assert_array_equal(ours.codes_tr, theirs.codes_tr)
+        np.testing.assert_array_equal(ours.codes_val, theirs.codes_val)
+        assert ours.seed_seq.entropy == theirs.seed_seq.entropy
+        assert ours.seed_seq.spawn_key == theirs.seed_seq.spawn_key
+        for a, b in ((ours.obj_tr, theirs.obj_tr), (ours.obj_val, theirs.obj_val)):
+            np.testing.assert_array_equal(a.w_alive, b.w_alive)
+            np.testing.assert_array_equal(a.w_event, b.w_event)
+
     @pytest.mark.parametrize("entry", ["select_features", "regularization_path"])
     def test_ipcw_weights_use_fits_eval_times(self, monkeypatch, entry):
-        rng = np.random.default_rng(11)
-        n = 300
-        table = {f"x{j}": rng.uniform(-1, 1, n) for j in range(3)}
-        t_event = rng.exponential(np.exp(-table["x0"]))
-        t_censor = rng.exponential(1.5, n)
-        y = survival.as_survival_labels((t_event <= t_censor, np.minimum(t_event, t_censor)))
+        table, y = _survival_table()
+        n = y.size
         cfg = _cfg(task="survival", n_eval_times=6, max_epochs=2)
         grid = fit(table, y, cfg).eval_times
         tr = namlite.data.split_folds(n, cfg.n_val_splits, cfg.seed)[0][0]

@@ -24,7 +24,6 @@ from namlite.train import (
     EnsembleModel,
     TrainConfig,
     fit,
-    fit_pairs,
     fit_single_split,
     loss_bce,
     loss_ipcw,
@@ -151,6 +150,14 @@ def _toy_codes(rng, n, n_bins):
     )
 
 
+def _toy_split(cfg, codes, y, n_tr, n_bins):
+    """A split whose first `n_tr` rows train and the rest validate."""
+    return train._make_split(
+        cfg, codes[:n_tr], y[:n_tr], codes[n_tr:], y[n_tr:], n_bins,
+        np.zeros(len(n_bins), dtype=np.int64), None, np.random.SeedSequence(cfg.seed),
+    )
+
+
 class TestSingleSplit:
     def test_early_stop_restores_best_epoch(self):
         rng = np.random.default_rng(0)
@@ -158,7 +165,7 @@ class TestSingleSplit:
         codes = _toy_codes(rng, 400, n_bins)
         y = codes[:, 0].astype(float) + rng.normal(0, 0.3, 400)
         cfg = _fast_cfg(max_epochs=25, early_stop_patience=2)
-        sp = fit_single_split(codes[:300], y[:300], codes[300:], y[300:], n_bins, cfg)
+        sp = fit_single_split(_toy_split(cfg, codes, y, 300, n_bins))
         hist = sp.history["mains"]
         best = min(h["val_loss"] for h in hist)
         refit = loss_mse(sp.predict_linked(codes[300:])[:, 0], y[300:])
@@ -171,10 +178,7 @@ class TestSingleSplit:
         codes = _toy_codes(rng, 300, n_bins)
         y = (codes[:, 0] - codes[:, 1]).astype(float)
         cfg = _fast_cfg(max_epochs=6)
-        sp = fit_single_split(
-            codes[:200], y[:200], codes[200:], y[200:], n_bins, cfg,
-            pairs=[(0, 1)],
-        )
+        sp = fit_single_split(_toy_split(cfg, codes, y, 200, n_bins), pairs=[(0, 1)])
         centered = sp.predict_eta(codes)
         pc = flat_pair_codes(sp.core, codes)
         raw = forward_pass(sp.core, codes, pc).eta
@@ -185,7 +189,7 @@ class TestSingleSplit:
         n_bins = np.array([4, 4])
         codes = _toy_codes(rng, 200, n_bins)
         y = codes.sum(axis=1).astype(float)
-        sp = fit_single_split(codes[:150], y[:150], codes[150:], y[150:], n_bins, _fast_cfg())
+        sp = fit_single_split(_toy_split(_fast_cfg(), codes, y, 150, n_bins))
         np.testing.assert_allclose(
             sp.beta0, sp.c_feat.sum(axis=0) + sp.c_pair.sum(axis=0), atol=1e-12
         )
@@ -196,12 +200,12 @@ class TestSingleSplit:
         codes = _toy_codes(rng, 300, n_bins)
         y = (codes[:, 0] * codes[:, 1]).astype(float)
         cfg = _fast_cfg(max_epochs=5)
-        sp = fit_single_split(codes[:200], y[:200], codes[200:], y[200:], n_bins, cfg)
-        before = {k: v.copy() for k, v in param_dict(sp.core).items() if k.startswith("feat_")}
-        core, hist = fit_pairs(
-            sp.core, [(0, 1)], codes[:200], y[:200], codes[200:], y[200:], cfg
-        )
+        split = _toy_split(cfg, codes, y, 200, n_bins)
+        core, _ = train._train_mains(split, *split.rngs())
+        before = {k: v.copy() for k, v in param_dict(core).items() if k.startswith("feat_")}
+        hist = train._train_pairs(split, core, [(0, 1)], *split.rngs())
         assert len(hist) > 0
+        assert core.pairs.n_pairs == 1
         after = param_dict(core)
         for k, v in before.items():
             np.testing.assert_array_equal(v, after[k])
@@ -211,7 +215,7 @@ class TestSingleSplit:
         n_bins = np.array([4])
         codes = _toy_codes(rng, 60, n_bins)
         y = rng.normal(size=60)
-        sp = fit_single_split(codes[:40], y[:40], codes[40:], y[40:], n_bins, _fast_cfg(max_epochs=0))
+        sp = fit_single_split(_toy_split(_fast_cfg(max_epochs=0), codes, y, 40, n_bins))
         pred = sp.predict_linked(codes)
         assert np.ptp(pred) == 0.0
 
@@ -317,7 +321,7 @@ class TestFit:
         real = train.fit_single_split
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("_screened") is not None)
+            calls.append(kwargs.get("trained") is not None)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(train, "fit_single_split", counting)
