@@ -45,8 +45,6 @@ __all__ = [
     "smoothed_embedding",
     "pair_smoothed_embedding",
     "monotone_output",
-    "main_effect",
-    "model_forward",
     "flat_pair_codes",
     "bin_tables",
     "pair_bin_tables",
@@ -259,9 +257,6 @@ class ModelCore:
     out_dim: int
     activation: str
     link: str  # "identity" | "sigmoid"
-    gates_trainable: bool = False
-    pair_gates_trainable: bool = False
-    beta0: np.ndarray = field(default_factory=lambda: np.zeros(1))
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -388,21 +383,6 @@ def monotone_output(raw: np.ndarray, direction: int, offset: float) -> np.ndarra
     return out
 
 
-def main_effect(core: ModelCore, j: int, i: int) -> np.ndarray:
-    """Ungated per-bin output of feature j at bin i."""
-    n = int(core.feats.n_bins[j])
-    if not 0 <= i <= n:
-        raise ConfigError(f"bin index {i} out of range for feature {j}")
-    return bin_tables(core)[j, i]
-
-
-def model_forward(core: ModelCore, codes: np.ndarray, beta0=None) -> np.ndarray:
-    """Linked prediction g(beta0 + sum of gated effects) for each row."""
-    cache = forward_pass(core, codes, flat_pair_codes(core, codes))
-    b0 = core.beta0 if beta0 is None else np.asarray(beta0, dtype=np.float64)
-    return _link(cache.eta + b0, core.link)
-
-
 def flat_pair_codes(core: ModelCore, codes: np.ndarray) -> np.ndarray | None:
     if core.pairs is None or core.pairs.n_pairs == 0:
         return None
@@ -435,7 +415,7 @@ def forward_pass(
     compute_feats: bool = True,
     compute_pairs: bool = True,
 ) -> ForwardCache:
-    """Batch forward over bin-index rows; returns eta without beta0/link.
+    """Batch forward over bin-index rows; returns eta without intercept or link.
 
     With compute_feats=False the feature contribution must already be in
     eta_offset (used while pairs train against frozen mains).
@@ -518,9 +498,9 @@ def backward_pass(
     The gradients fill one vector laid out like `core.flat`, returned
     under "flat"; the per-parameter entries are views of it. The section
     of a stack the cache did not run is left unwritten and has no
-    entries.
-    beta0 is excluded by construction; it is set after training from the
-    centering constants, never by gradient descent.
+    entries. A gate gradient is exact everywhere: a gate fixed at 1 sits
+    at mu = gamma/2, where the smooth step's slope is exactly 0, and the
+    training phase's parameter keys decide whether a gate moves.
     """
     params = param_dict(core)
     grads: dict[str, np.ndarray] = {"flat": np.empty(core.flat.size)}
@@ -532,10 +512,7 @@ def backward_pass(
         gates = core.gates()
         sgrad = smooth_step_grad(feats.mu, core.gamma) * feats.active
         d_gate = np.einsum("bo,bpo->p", d_eta, cache.vals)
-        if core.gates_trainable:
-            g["feat_mu"][...] = d_gate * sgrad + reg_param * sgrad
-        else:
-            g["feat_mu"][...] = 0.0
+        g["feat_mu"][...] = d_gate * sgrad + reg_param * sgrad
         d_vals = d_eta[:, None, :] * gates[None, :, None]
         d_tabs = _scatter_bins(d_vals, cache.codes, feats.padded)
         # Undo the monotone transform where it applies.
@@ -565,10 +542,7 @@ def backward_pass(
         pg = core.pair_gates()
         psgrad = smooth_step_grad(pairs.mu, core.pair_gamma) * pairs.active
         d_pgate = np.einsum("bo,bqo->q", d_eta, cache.pvals)
-        if core.pair_gates_trainable:
-            g["pair_mu"][...] = d_pgate * psgrad + pair_reg_param * psgrad
-        else:
-            g["pair_mu"][...] = 0.0
+        g["pair_mu"][...] = d_pgate * psgrad + pair_reg_param * psgrad
         d_pvals = d_eta[:, None, :] * pg[None, :, None]
         M2 = pairs.emb.shape[1] * pairs.emb.shape[2]
         d_ptabs = _scatter_bins(d_pvals, cache.pair_codes, M2)
@@ -622,7 +596,12 @@ def init_core(
     mono_dir: np.ndarray | None = None,
     pair_gates_trainable: bool = False,
 ) -> ModelCore:
-    """Build a fresh model over features with the given observed bin counts."""
+    """Build a fresh model over features with the given observed bin counts.
+
+    `gates_trainable` and `pair_gates_trainable` choose the gates' start:
+    partly open (mu = gamma/4) for gates that selection trains, else fixed
+    at exactly 1 (mu = gamma/2).
+    """
     if activation not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {activation!r}")
     n_bins = np.asarray(n_bins, dtype=np.int64)
@@ -689,9 +668,6 @@ def init_core(
         out_dim=out_dim,
         activation=activation,
         link=link,
-        gates_trainable=gates_trainable,
-        pair_gates_trainable=pair_gates_trainable,
-        beta0=np.zeros(out_dim),
     )
 
 

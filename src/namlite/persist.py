@@ -225,7 +225,6 @@ def _core_in(
         out_dim=out_dim,
         activation=str(d["activation"]),
         link=str(d["link"]),
-        beta0=np.zeros(out_dim),
     )
 
 

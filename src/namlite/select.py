@@ -127,7 +127,6 @@ def _run_selection_step(run: _SelectionRun, reg: float, pair_reg: float):
         train_pairs=select_pairs,
         feat_gates=True,
         pair_gates=select_pairs,
-        prune=True,
         reg=reg,
         pair_reg=pair_reg,
     )

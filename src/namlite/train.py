@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -129,27 +129,11 @@ class TrainConfig:
         return KernelConfig(phi=self.kernel_weight, size=self.kernel_size)
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "n_val_splits": self.n_val_splits,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "early_stop_patience": self.early_stop_patience,
-            "learning_rate": self.learning_rate,
-            "num_pairs": self.num_pairs,
-            "embedding_dim": self.embedding_dim,
-            "hidden_sizes": list(self.hidden_sizes),
-            "activation": self.activation,
-            "kernel_weight": self.kernel_weight,
-            "kernel_size": self.kernel_size,
-            "max_bins": self.max_bins,
-            "min_samples_per_bin": self.min_samples_per_bin,
-            "monotone": dict(self.monotone),
-            "censor_estimator": self.censor_estimator,
-            "n_eval_times": self.n_eval_times,
-            "pair_select_reg": self.pair_select_reg,
-            "seed": self.seed,
-        }
+        """Every field in declaration order, except `threads`, which never changes results."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
+        d["hidden_sizes"] = list(self.hidden_sizes)
+        d["monotone"] = dict(self.monotone)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -319,7 +303,6 @@ class _Phase:
     train_pairs: bool = False
     feat_gates: bool = False
     pair_gates: bool = False
-    prune: bool = False
     reg: float = 0.0
     pair_reg: float = 0.0
 
@@ -416,7 +399,7 @@ def _run_phase(
             )
             adam.step(grads)
             epoch_loss += loss * rows.size / n_tr
-        if phase.prune:
+        if phase.feat_gates or phase.pair_gates:
             _prune(core, adam, phase)
         # Keep only eta: the cache's per-row arrays would outlive the epoch.
         val_eta = forward_pass(
@@ -773,6 +756,7 @@ def _attach_pairs(
 ) -> None:
     # The fresh core only donates its pair stack. Without monotone
     # directions it draws no constrained final layers ahead of the pairs.
+    # `trainable_gates` starts the gates partly open, not fixed at 1.
     fresh = split.new_core(
         rng,
         mono_dir=None,
@@ -783,7 +767,6 @@ def _attach_pairs(
     )
     core.attach_pairs(fresh.pairs)
     core.pair_gamma = pair_gamma
-    core.pair_gates_trainable = trainable_gates
 
 
 def _train_pairs(split: _Split, core: ModelCore, pairs: list, rng, shuffle_rng) -> list[dict]:
@@ -842,7 +825,6 @@ def _select_pairs(
             "pair-select",
             train_pairs=True,
             pair_gates=True,
-            prune=True,
             pair_reg=cfg.pair_select_reg,
         ),
         shuffle_rng,
@@ -852,7 +834,6 @@ def _select_pairs(
     order = sorted(open_, key=lambda i: (-gates[i], universe[i]))
     chosen = sorted(universe[i] for i in order[: cfg.num_pairs])
     core.attach_pairs(None)
-    core.pair_gates_trainable = False
     return chosen
 
 

@@ -82,7 +82,6 @@ def tiny_core(
     core.feats.mu[:] = rng.uniform(-0.3, 0.3, size=core.feats.mu.shape)
     if core.pairs is not None:
         core.pairs.mu[:] = rng.uniform(-0.3, 0.3, size=core.pairs.mu.shape)
-    core.beta0 = rng.normal(size=out_dim)
     return core
 
 

@@ -13,8 +13,6 @@ from namlite.core import (
     forward_pass,
     init_core,
     kernel_weights,
-    main_effect,
-    model_forward,
     monotone_output,
     pair_smoothed_embedding,
     param_dict,
@@ -322,34 +320,12 @@ class TestMonotoneOutput:
 
 
 class TestModelForward:
-    def test_all_gates_zero_gives_intercept(self, rng):
-        core = tiny_core(rng)
-        core.feats.mu[:] = -core.gamma
-        codes = random_codes(rng, 8, core.feats.n_bins)
-        np.testing.assert_array_equal(
-            model_forward(core, codes), np.tile(core.beta0, (8, 1))
-        )
-
     def test_single_open_gate_adds_one_effect(self, rng):
         core = tiny_core(rng, n_bins=(4,))
         core.feats.mu[:] = core.gamma / 2
         codes = np.array([[2], [0], [4]])
-        expected = core.beta0[None, :] + np.stack([main_effect(core, 0, i) for i in (2, 0, 4)])
-        np.testing.assert_allclose(model_forward(core, codes), expected)
-
-    def test_sigmoid_link_at_zero_is_half(self, rng):
-        core = init_core(
-            np.array([3, 3]), 1, KernelConfig(), rng, embedding_dim=4, link="sigmoid"
-        )
-        codes = random_codes(rng, 5, core.feats.n_bins)
-        np.testing.assert_array_equal(model_forward(core, codes), 0.5)
-
-    def test_survival_head_shape_and_range(self, rng):
-        core = tiny_core(rng, out_dim=3, link="sigmoid")
-        codes = random_codes(rng, 6, core.feats.n_bins)
-        pred = model_forward(core, codes)
-        assert pred.shape == (6, 3)
-        assert np.all((pred > 0) & (pred < 1))
+        expected = bin_tables(core)[0, [2, 0, 4]]
+        np.testing.assert_array_equal(forward_pass(core, codes).eta, expected)
 
     def test_zero_init_shapes_are_zero(self, rng):
         core = init_core(np.array([4, 2]), 2, KernelConfig(), rng, embedding_dim=5)
@@ -434,19 +410,29 @@ class TestBackward:
         target = rng.normal(size=(10, 3))
         assert _fd_check(core, codes, target, reg=0.01, preg=0.02) < 1e-4
 
+    def test_gradients_match_fd_with_saturated_gates(self):
+        # Open, closed and fixed-at-1 gates: the gate gradients are 0, and a
+        # closed gate cuts its feature's or pair's parameters off the loss.
+        rng = np.random.default_rng(44)
+        core = tiny_core(rng, n_bins=(5, 3, 4), pairs=[(0, 1), (1, 2)])
+        core.feats.mu[:] = [core.gamma, -core.gamma, 0.75 * core.gamma]
+        core.pairs.mu[:] = [-core.pair_gamma, core.pair_gamma]
+        codes = random_codes(rng, 12, core.feats.n_bins)
+        target = rng.normal(size=(12, 1))
+        assert _fd_check(core, codes, target, reg=0.07, preg=0.03) < 1e-4
+        cache = forward_pass(core, codes)
+        grads = backward_pass(core, cache, cache.eta - target, 0.07, 0.03)
+        np.testing.assert_array_equal(grads["feat_mu"], 0.0)
+        np.testing.assert_array_equal(grads["pair_mu"], 0.0)
+        np.testing.assert_array_equal(grads["feat_emb"][1], 0.0)
+        np.testing.assert_array_equal(grads["pair_emb"][0], 0.0)
+
     def test_saturated_gate_gets_zero_gradient(self, rng):
         core = tiny_core(rng)
         core.feats.mu[:] = [core.gamma, -core.gamma, core.gamma / 2]
         codes = random_codes(rng, 9, core.feats.n_bins)
         cache = forward_pass(core, codes)
         grads = backward_pass(core, cache, np.ones((9, 1)), reg_param=0.5)
-        np.testing.assert_array_equal(grads["feat_mu"], 0.0)
-
-    def test_untrainable_gates_get_zero_gradient(self, rng):
-        core = tiny_core(rng, gates_trainable=False)
-        codes = random_codes(rng, 9, core.feats.n_bins)
-        cache = forward_pass(core, codes)
-        grads = backward_pass(core, cache, np.ones((9, 1)))
         np.testing.assert_array_equal(grads["feat_mu"], 0.0)
 
     def test_all_missing_feature_touches_only_missing_row(self, rng):
