@@ -206,7 +206,19 @@ def _parse_numeric(values) -> np.ndarray | None:
             out[i] = float(v)
         except (TypeError, ValueError):
             return None
+        except OverflowError:
+            text = _clipped_repr(v)
+            raise DataError(f"value {text} in row {i} is too large for a float") from None
     return out
+
+
+def _clipped_repr(v) -> str:
+    """repr(v), shortened past 40 characters; an int too long to print is described."""
+    try:
+        text = repr(v)
+    except ValueError:  # Python refuses to print ints past its digit limit
+        return f"<{type(v).__name__} too long to print>"
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
 
 
 def _first_bad_token(values: list) -> str:

@@ -69,6 +69,13 @@ class TestInferSchema:
         b = infer_schema({"x": list(reversed(vals))})
         assert a == b
 
+    def test_int_too_large_for_float_raises(self):
+        with pytest.raises(DataError, match=r"value 1000.*0000 in row 0 is too large"):
+            infer_schema({"x": [10**400, 1.0, 2.0]})
+        # Past Python's digit limit the value cannot be printed, only described.
+        with pytest.raises(DataError, match=r"<int too long to print> in row 1"):
+            infer_schema({"x": [1.0, 10**5000, 2.0]})
+
     def test_override_replaces_kind(self):
         schema = infer_schema({"flag": [0, 1, 1]})
         out = apply_schema_override(schema, {"flag": "categorical"})
@@ -128,6 +135,11 @@ class TestFitBins:
         with pytest.raises(DataError) as err:
             fit_bins({"x": ["1.0", "oops", "2.0"]}, [FeatureSchema("x", "continuous")])
         assert "oops" in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["continuous", "categorical"])
+    def test_int_too_large_for_float_raises(self, kind):
+        with pytest.raises(DataError, match="in row 0 is too large for a float"):
+            fit_bins({"x": [10**400, 1.0]}, [FeatureSchema("x", kind)])
 
     def test_too_few_nonmissing_raises(self):
         with pytest.raises(DataError):
@@ -194,6 +206,10 @@ class TestTransform:
     def test_column_absent_raises(self):
         with pytest.raises(DataError):
             transform({"y": [1.0]}, [self.bm])
+
+    def test_int_too_large_for_float_raises(self):
+        with pytest.raises(DataError, match="in row 0 is too large for a float"):
+            transform({"x": [10**400, 1.0]}, [self.bm])
 
     def test_codes_within_index_space(self):
         codes = transform({"x": [-99.0, 99.0, None]}, [self.bm]).codes
