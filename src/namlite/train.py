@@ -601,16 +601,31 @@ class _Prepared:
 def _prepare(table, y, cfg: TrainConfig, schema, selected_feats=None) -> _Prepared:
     """Validate `cfg`, then bin the table and normalize the targets once."""
     cfg.validate()
-    schema = _resolve_features(table, schema, selected_feats)
+    if schema is None:
+        schema = infer_schema(table)
+    if selected_feats is not None:
+        wanted = set(selected_feats)
+        missing = wanted - {fs.name for fs in schema}
+        if missing:
+            raise DataError(f"selected features not in table: {sorted(missing)}")
+        schema = [fs for fs in schema if fs.name in wanted]
+    if not schema:
+        raise ConfigError("no features to fit")
     bin_maps = fit_bins(table, schema, cfg.max_bins, cfg.min_samples_per_bin)
     codes = transform(table, bin_maps).codes
     n = codes.shape[0]
     y = _normalize_targets(cfg.task, y, n)
+    names = [bm.feature for bm in bin_maps]
+    mono = np.zeros(len(names), dtype=np.int64)
+    for name, d in cfg.monotone.items():
+        if name not in names:
+            raise ConfigError(f"monotone constraint names unknown feature {name!r}")
+        mono[names.index(name)] = d
     eval_times = sv.eval_time_grid(y, cfg.n_eval_times) if cfg.task == "survival" else None
     return _Prepared(
         cfg, schema, bin_maps, codes, y,
         np.array([bm.n_bins for bm in bin_maps], dtype=np.int64),
-        _mono_vector(cfg, [bm.feature for bm in bin_maps]),
+        mono,
         eval_times,
         split_folds(n, cfg.n_val_splits, cfg.seed),
         np.random.SeedSequence(cfg.seed).spawn(cfg.n_val_splits),
@@ -712,15 +727,6 @@ def finalize(core: ModelCore, codes_tr: np.ndarray, history: dict, val_loss: flo
     )
     split._compile(tabs, ptabs)
     return split
-
-
-def _mono_vector(cfg: TrainConfig, feature_names: list[str]) -> np.ndarray:
-    mono = np.zeros(len(feature_names), dtype=np.int64)
-    for name, d in cfg.monotone.items():
-        if name not in feature_names:
-            raise ConfigError(f"monotone constraint names unknown feature {name!r}")
-        mono[feature_names.index(name)] = d
-    return mono
 
 
 def fit_single_split(
@@ -935,20 +941,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _resolve_features(table, schema, selected_feats):
-    if schema is None:
-        schema = infer_schema(table)
-    if selected_feats is not None:
-        wanted = set(selected_feats)
-        missing = wanted - {fs.name for fs in schema}
-        if missing:
-            raise DataError(f"selected features not in table: {sorted(missing)}")
-        schema = [fs for fs in schema if fs.name in wanted]
-    if not schema:
-        raise ConfigError("no features to fit")
-    return schema
-
-
 def fit(
     table,
     y,
@@ -964,17 +956,16 @@ def fit(
     averaged across splits after the link.
     """
     prep = _prepare(table, y, cfg, schema, selected_feats)
-    feature_names = prep.feature_names
+    names = prep.feature_names
     pair_idx: list[tuple[int, int]] = []
     screened = None
     if selected_pairs:
-        names = feature_names
         for a, b in selected_pairs:
             if a not in names or b not in names:
                 raise DataError(f"selected pair ({a!r}, {b!r}) not in features")
         raw_idx = [(names.index(a), names.index(b)) for a, b in selected_pairs]
         pair_idx = sorted((min(a, b), max(a, b)) for a, b in raw_idx)
-    elif cfg.num_pairs > 0 and len(feature_names) >= 2:
+    elif cfg.num_pairs > 0 and len(names) >= 2:
         # Pairs are screened once, on split 0's trained mains; split 0
         # keeps those mains and trains the chosen pairs on top.
         split = prep.split(0)
@@ -993,7 +984,7 @@ def fit(
             splits = list(pool.map(run_split, range(cfg.n_val_splits)))
     else:
         splits = [run_split(i) for i in range(cfg.n_val_splits)]
-    pair_names = [(feature_names[a], feature_names[b]) for a, b in pair_idx]
+    pair_names = [(names[a], names[b]) for a, b in pair_idx]
     return EnsembleModel(
         task=cfg.task,
         config=replace(
