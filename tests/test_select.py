@@ -134,6 +134,13 @@ class TestSelectFeatures:
         assert res.pair_gate_values[("b", "c")] == 0.0
         assert set(res.pair_gate_values) == {("a", "b"), ("a", "c"), ("b", "c")}
 
+    def test_bad_train_config_raises_before_bad_selection_config(self):
+        table, y = _linear_table(n=100)
+        with pytest.raises(ConfigError, match="batch_size"):
+            select_features(table, y, _cfg(batch_size=0), SelectionConfig(reg_param=-1.0))
+        with pytest.raises(ConfigError, match="regularization parameters"):
+            select_features(table, y, _cfg(), SelectionConfig(reg_param=-1.0))
+
     def test_selection_is_deterministic(self):
         table, y = _linear_table()
         sel = SelectionConfig(reg_param=0.05, gamma=0.5)
@@ -180,10 +187,9 @@ class TestSharedSplit:
     @pytest.mark.parametrize("entry", ["select_features", "regularization_path"])
     def test_ipcw_weights_use_fits_eval_times(self, monkeypatch, entry):
         table, y = _survival_table()
-        n = y.size
         cfg = _cfg(task="survival", n_eval_times=6, max_epochs=2)
         grid = fit(table, y, cfg).eval_times
-        tr = namlite.data.split_folds(n, cfg.n_val_splits, cfg.seed)[0][0]
+        tr = namlite.data.split_folds(y.size, cfg.n_val_splits, cfg.seed)[0][0]
         # The training fold's own grid differs, so the check can tell them apart.
         assert not np.array_equal(survival.eval_time_grid(y[tr], cfg.n_eval_times), grid)
 
