@@ -67,20 +67,18 @@ def _load_run(path) -> tuple[dict, TrainConfig, SelectionConfig]:
             raise ConfigError(f"unknown config key {k!r}")
     if "train_csv" not in run:
         raise ConfigError("config requires 'train_csv'")
+    feats, pairs = run.get("features"), run.get("pairs")
+    if feats is not None and not _is_names(feats):
+        raise ConfigError(f"'features' must be a list of column names, got {feats!r}")
+    if pairs is not None and not (
+        isinstance(pairs, list) and all(_is_names(p) and len(p) == 2 for p in pairs)
+    ):
+        raise ConfigError(f"'pairs' must be a list of [name, name] lists, got {pairs!r}")
     return run, TrainConfig.from_dict(tr), SelectionConfig(**sel)
 
 
-def _apply_threads(args, cfg: TrainConfig) -> TrainConfig:
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
-        return cfg
-    env = os.environ.get("NAMLITE_THREADS")
-    if env:
-        try:
-            cfg.threads = int(env)
-        except ValueError:
-            raise ConfigError(f"NAMLITE_THREADS must be an integer, got {env!r}") from None
-    return cfg
+def _is_names(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
 def _read_table(path) -> dict:
@@ -174,9 +172,16 @@ def _test_metrics(model, feats: dict, y: np.ndarray) -> dict:
 
 def cmd_train(args) -> int:
     run, cfg, _ = _load_run(args.config)
-    cfg = _apply_threads(args, cfg)
+    env = os.environ.get("NAMLITE_THREADS")
+    if args.threads is not None:
+        cfg.threads = args.threads
+    elif env:
+        try:
+            cfg.threads = int(env)
+        except ValueError:
+            raise ConfigError(f"NAMLITE_THREADS must be an integer, got {env!r}") from None
     feats, y, label_cols = _training_inputs(run, cfg)
-    pairs = [tuple(p) for p in run.get("pairs", [])] or None
+    pairs = [tuple(p) for p in run.get("pairs") or []] or None
     model = fit(
         feats, y, cfg, selected_feats=run.get("features"), selected_pairs=pairs
     )
@@ -225,7 +230,6 @@ def cmd_predict(args) -> int:
 
 def cmd_select(args) -> int:
     run, cfg, sel = _load_run(args.config)
-    cfg = _apply_threads(args, cfg)
     feats, y, _ = _training_inputs(run, cfg)
     res = select_features(feats, y, cfg, sel=sel)
     payload = {
@@ -247,7 +251,6 @@ def cmd_select(args) -> int:
 
 def cmd_path(args) -> int:
     run, cfg, sel = _load_run(args.config)
-    cfg = _apply_threads(args, cfg)
     feats, y, _ = _training_inputs(run, cfg)
     res = regularization_path(
         feats,
@@ -351,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     se = sub.add_parser("select", help="run gated feature selection")
     se.add_argument("config")
-    se.add_argument("--threads", type=int, default=None)
     se.set_defaults(func=cmd_select)
 
     pa = sub.add_parser("path", help="sweep the sparsity ladder")
@@ -359,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--init-reg-param", type=float, required=True)
     pa.add_argument("--ladder-factor", type=float, default=2.0)
     pa.add_argument("--max-steps", type=int, default=20)
-    pa.add_argument("--threads", type=int, default=None)
     pa.set_defaults(func=cmd_path)
 
     x = sub.add_parser("explain", help="export importances, shapes, and pair surfaces")

@@ -21,6 +21,13 @@ in place only and never rebound: an array assigned over a stack's field
 is no longer seen by training. The pair stack is replaced only through
 `ModelCore.attach_pairs`, which moves both stacks into a new vector, so
 views taken before it are stale.
+
+Features and pairs are stacks of one kind, listed with their gate widths
+by `ModelCore.stacks()`; forward, backward and the table builders run one
+code path over them. Each stack supplies what differs: its `param_dict`
+name `prefix`, `cell_codes` (the bin codes, or `flat_pair_codes`),
+`smoothed` (S @ x, or the two-axis pair smoothing; each its own gradient)
+and `monotone` with its backward `monotone_grad` (identity for pairs).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ __all__ = [
     "PairStack",
     "ModelCore",
     "ForwardCache",
+    "StackPass",
     "smooth_step",
     "smooth_step_grad",
     "kernel_weights",
@@ -173,8 +181,21 @@ def _layers_from(views) -> list[tuple[np.ndarray, np.ndarray]]:
     return list(zip(views[0::2], views[1::2]))
 
 
+class _Stack:
+    """What both stacks share; without monotone terms (pairs) `monotone` passes through."""
+
+    def gates(self, gamma: float) -> np.ndarray:
+        return smooth_step(self.mu, gamma) * self.active
+
+    def monotone(self, raw: np.ndarray) -> np.ndarray:
+        return raw
+
+    def monotone_grad(self, d_tabs: np.ndarray, raw: np.ndarray, grads: dict) -> np.ndarray:
+        return d_tabs
+
+
 @dataclass
-class FeatureStack:
+class FeatureStack(_Stack):
     emb: np.ndarray  # (p, M, d)
     weights: list  # [(W, b)] with W (p, in, out), b (p, out)
     mu: np.ndarray  # (p,)
@@ -183,6 +204,8 @@ class FeatureStack:
     mono_dir: np.ndarray  # (p,) in {-1, 0, +1}
     mono_off: np.ndarray  # (p,)
     active: np.ndarray  # (p,) bool
+
+    prefix = "feat"
 
     @property
     def n_features(self) -> int:
@@ -206,14 +229,54 @@ class FeatureStack:
         self.mono_off, self.emb, *layers, self.mu = views
         self.weights = _layers_from(layers)
 
+    def cell_codes(self, feats: FeatureStack, codes: np.ndarray) -> np.ndarray:
+        return codes
+
+    def smoothed(self, feats: FeatureStack, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Each feature's operator applied to its (M, d) table in `x`."""
+        return np.matmul(self.smooth, x, out=out)
+
+    def monotone(self, raw: np.ndarray) -> np.ndarray:
+        out = raw
+        idx = np.flatnonzero(self.mono_dir)
+        if idx.size:
+            out = raw.copy()
+            for j in idx:
+                n = int(self.n_bins[j])
+                d = float(self.mono_dir[j])
+                r = raw[j, 1 : n + 1, 0]
+                out[j, 1 : n + 1, 0] = self.mono_off[j] + d * np.cumsum(r**2)
+                out[j, 0, 0] = self.mono_off[j] + raw[j, 0, 0]
+        return out
+
+    def monotone_grad(self, d_tabs: np.ndarray, raw: np.ndarray, grads: dict) -> np.ndarray:
+        """Undo the monotone transform where it applies; writes the offsets' gradient."""
+        d_raw = d_tabs
+        d_off = grads["feat_off"]
+        d_off[...] = 0.0
+        idx = np.flatnonzero(self.mono_dir)
+        if idx.size:
+            d_raw = d_tabs.copy()
+            for j in idx:
+                n = int(self.n_bins[j])
+                d = float(self.mono_dir[j])
+                dout = d_tabs[j, : n + 1, 0]
+                r = raw[j, 1 : n + 1, 0]
+                tail = np.cumsum(dout[1:][::-1])[::-1]
+                d_raw[j, 1 : n + 1, 0] = d * 2.0 * r * tail
+                d_off[j] = dout.sum()
+        return d_raw
+
 
 @dataclass
-class PairStack:
+class PairStack(_Stack):
     pairs: list  # [(ja, jb)] feature index pairs
     emb: np.ndarray  # (q, M, M, d)
     weights: list  # [(W, b)] with W (q, in, out)
     mu: np.ndarray  # (q,)
     active: np.ndarray  # (q,) bool
+
+    prefix = "pair"
 
     @property
     def n_pairs(self) -> int:
@@ -226,6 +289,26 @@ class PairStack:
     def _bind(self, views: list[np.ndarray]) -> None:
         self.emb, *layers, self.mu = views
         self.weights = _layers_from(layers)
+
+    def cell_codes(self, feats: FeatureStack, codes: np.ndarray) -> np.ndarray:
+        """Each row's flat cell per pair, a * M + b, from its features' bin codes."""
+        ja, jb = np.array(self.pairs).T
+        return codes[:, ja] * feats.padded + codes[:, jb]
+
+    def smoothed(self, feats: FeatureStack, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Smooth the q pair tables in `x`, (q, M, M, d) values, along both axes: (q, M*M, d).
+
+        Axis a takes each pair's first-feature operator from `feats.smooth`,
+        axis b its second. The operators are symmetric and the kernel is
+        separable, so this is also its own gradient with respect to `x`.
+        """
+        S = feats.smooth
+        ja, jb = np.array(self.pairs).T
+        q, M = ja.size, S.shape[1]
+        sm_a = (S[ja] @ x.reshape(q, M, -1)).reshape(q, M, M, -1)
+        if out is not None:
+            out = out.reshape(sm_a.shape)
+        return np.matmul(S[jb][:, None], sm_a, out=out).reshape(q, M * M, -1)
 
 
 def _pack(stacks) -> np.ndarray:
@@ -260,20 +343,26 @@ class ModelCore:
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.flat = _pack(_stacks(self))
+        self.attach_pairs(self.pairs)
 
     def attach_pairs(self, pairs: PairStack | None) -> None:
         """Replace the pair stack (None drops it) and repack both stacks into a new `flat`."""
         self.pairs = pairs
-        self.flat = _pack(_stacks(self))
+        self.flat = _pack([stack for stack, _ in self.stacks()])
+
+    def stacks(self) -> list[tuple[FeatureStack | PairStack, float]]:
+        """(stack, gate width) for each stack that holds parameters: features, then pairs if any."""
+        if self.pairs is not None and self.pairs.n_pairs > 0:
+            return [(self.feats, self.gamma), (self.pairs, self.pair_gamma)]
+        return [(self.feats, self.gamma)]
 
     def gates(self) -> np.ndarray:
-        return smooth_step(self.feats.mu, self.gamma) * self.feats.active
+        return self.feats.gates(self.gamma)
 
     def pair_gates(self) -> np.ndarray:
         if self.pairs is None:
             return np.zeros(0)
-        return smooth_step(self.pairs.mu, self.pair_gamma) * self.pairs.active
+        return self.pairs.gates(self.pair_gamma)
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -285,13 +374,10 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow: e = exp(-|x|) is at most 1 on both sides."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _link(eta: np.ndarray, link: str) -> np.ndarray:
@@ -317,50 +403,24 @@ def _mlp_tables(smooth_lhs, weights, activation):
     return raw, hidden
 
 
-def _apply_monotone(raw: np.ndarray, stack: FeatureStack) -> np.ndarray:
-    out = raw
-    idx = np.flatnonzero(stack.mono_dir)
-    if idx.size:
-        out = raw.copy()
-        for j in idx:
-            n = int(stack.n_bins[j])
-            d = float(stack.mono_dir[j])
-            r = raw[j, 1 : n + 1, 0]
-            out[j, 1 : n + 1, 0] = stack.mono_off[j] + d * np.cumsum(r**2)
-            out[j, 0, 0] = stack.mono_off[j] + raw[j, 0, 0]
-    return out
+def _stack_tables(core: ModelCore, stack):
+    """A stack's ungated tables (n, cells, out), then what backprop reads:
+    the tables before `monotone`, the hidden layers and the smoothed embeddings."""
+    sm = stack.smoothed(core.feats, stack.emb)
+    raw, hidden = _mlp_tables(sm, stack.weights, core.activation)
+    return stack.monotone(raw), raw, hidden, sm
 
 
 def bin_tables(core: ModelCore) -> np.ndarray:
     """Ungated per-bin outputs for every feature: (p, M, out)."""
-    sm = core.feats.smooth @ core.feats.emb
-    raw, _ = _mlp_tables(sm, core.feats.weights, core.activation)
-    return _apply_monotone(raw, core.feats)
-
-
-def _pair_smooth(core: ModelCore, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Smooth the q pair tables in `x`, (q, M, M, d) values, along both axes: (q, M*M, d).
-
-    Axis a takes each pair's first-feature operator from `feats.smooth`,
-    axis b its second. The operators are symmetric and the kernel is
-    separable, so this is also its own gradient with respect to `x`.
-    """
-    S = core.feats.smooth
-    ja, jb = np.array(core.pairs.pairs).T
-    q, M = ja.size, S.shape[1]
-    sm_a = (S[ja] @ x.reshape(q, M, -1)).reshape(q, M, M, -1)
-    if out is not None:
-        out = out.reshape(sm_a.shape)
-    return np.matmul(S[jb][:, None], sm_a, out=out).reshape(q, M * M, -1)
+    return _stack_tables(core, core.feats)[0]
 
 
 def pair_bin_tables(core: ModelCore) -> np.ndarray:
     """Ungated per-cell outputs for every pair: (q, M*M, out)."""
     if core.pairs is None or core.pairs.n_pairs == 0:
         return np.zeros((0, 0, core.out_dim))
-    sm = _pair_smooth(core, core.pairs.emb)
-    raw, _ = _mlp_tables(sm, core.pairs.weights, core.activation)
-    return raw
+    return _stack_tables(core, core.pairs)[0]
 
 
 # --- reference single-sample ops ---------------------------------------------
@@ -386,25 +446,27 @@ def monotone_output(raw: np.ndarray, direction: int, offset: float) -> np.ndarra
 def flat_pair_codes(core: ModelCore, codes: np.ndarray) -> np.ndarray | None:
     if core.pairs is None or core.pairs.n_pairs == 0:
         return None
-    ja, jb = np.array(core.pairs.pairs).T
-    return codes[:, ja] * core.feats.padded + codes[:, jb]
+    return core.pairs.cell_codes(core.feats, codes)
 
 
 # --- batched forward / backward ----------------------------------------------
 
 
 @dataclass
+class StackPass:
+    """One stack's part of a forward pass, as `backward_pass` reads it."""
+
+    codes: np.ndarray  # (B, n) cell codes
+    vals: np.ndarray  # (B, n, out) ungated outputs
+    raw: np.ndarray  # (n, cells, out) tables before the monotone transform
+    hidden: list
+    sm: np.ndarray  # (n, cells, d) smoothed embeddings
+
+
+@dataclass
 class ForwardCache:
     eta: np.ndarray  # (B, out)
-    codes: np.ndarray
-    pair_codes: np.ndarray | None
-    vals: np.ndarray | None  # (B, p, out) ungated per-feature outputs
-    raw_tabs: np.ndarray | None  # (p, M, out) before monotone
-    hidden: list | None
-    sm: np.ndarray | None
-    pvals: np.ndarray | None  # (B, q, out)
-    phidden: list | None
-    psm: np.ndarray | None
+    stacks: dict[str, StackPass]  # by stack prefix, for each stack that ran
 
 
 def forward_pass(
@@ -420,41 +482,23 @@ def forward_pass(
     With compute_feats=False the feature contribution must already be in
     eta_offset (used while pairs train against frozen mains).
     """
-    B = codes.shape[0]
-    eta = np.zeros((B, core.out_dim))
+    eta = np.zeros((codes.shape[0], core.out_dim))
     if eta_offset is not None:
         eta = eta + eta_offset
-    vals = raw_tabs = sm = None
-    hidden = None
-    if compute_feats:
-        sm = core.feats.smooth @ core.feats.emb
-        raw_tabs, hidden = _mlp_tables(sm, core.feats.weights, core.activation)
-        tabs = _apply_monotone(raw_tabs, core.feats)
-        p = core.feats.n_features
-        vals = tabs[np.arange(p)[None, :], codes]  # (B, p, out)
-        eta = eta + np.einsum("bpo,p->bo", vals, core.gates())
-    pvals = psm = None
-    phidden = None
-    if compute_pairs and core.pairs is not None and core.pairs.n_pairs > 0:
-        if pair_codes is None:
-            pair_codes = flat_pair_codes(core, codes)
-        psm = _pair_smooth(core, core.pairs.emb)
-        ptabs, phidden = _mlp_tables(psm, core.pairs.weights, core.activation)
-        q = core.pairs.n_pairs
-        pvals = ptabs[np.arange(q)[None, :], pair_codes]
-        eta = eta + np.einsum("bqo,q->bo", pvals, core.pair_gates())
-    return ForwardCache(
-        eta=eta,
-        codes=codes,
-        pair_codes=pair_codes,
-        vals=vals,
-        raw_tabs=raw_tabs,
-        hidden=hidden,
-        sm=sm,
-        pvals=pvals,
-        phidden=phidden,
-        psm=psm,
-    )
+    compute = {"feat": compute_feats, "pair": compute_pairs}
+    given = {"feat": codes, "pair": pair_codes}
+    runs = {}
+    for stack, gamma in core.stacks():
+        if not compute[stack.prefix]:
+            continue
+        cells = given[stack.prefix]
+        if cells is None:
+            cells = stack.cell_codes(core.feats, codes)
+        tabs, raw, hidden, sm = _stack_tables(core, stack)
+        vals = tabs[np.arange(tabs.shape[0])[None, :], cells]  # (B, n, out)
+        eta = eta + np.einsum("bto,t->bo", vals, stack.gates(gamma))
+        runs[stack.prefix] = StackPass(cells, vals, raw, hidden, sm)
+    return ForwardCache(eta=eta, stacks=runs)
 
 
 def _mlp_backward(d_raw, sm, hidden, weights, activation, out):
@@ -505,52 +549,25 @@ def backward_pass(
     params = param_dict(core)
     grads: dict[str, np.ndarray] = {"flat": np.empty(core.flat.size)}
     views = dict(zip(params, flat_views(grads["flat"], [a.shape for a in params.values()])))
-    feats = core.feats
-    if cache.vals is not None:
-        g = {k: v for k, v in views.items() if k.startswith("feat_")}
+    reg = {"feat": reg_param, "pair": pair_reg_param}
+    for stack, gamma in core.stacks():
+        run = cache.stacks.get(stack.prefix)
+        if run is None:
+            continue
+        pre = stack.prefix
+        g = {k: v for k, v in views.items() if k.startswith(pre + "_")}
         grads.update(g)
-        gates = core.gates()
-        sgrad = smooth_step_grad(feats.mu, core.gamma) * feats.active
-        d_gate = np.einsum("bo,bpo->p", d_eta, cache.vals)
-        g["feat_mu"][...] = d_gate * sgrad + reg_param * sgrad
-        d_vals = d_eta[:, None, :] * gates[None, :, None]
-        d_tabs = _scatter_bins(d_vals, cache.codes, feats.padded)
-        # Undo the monotone transform where it applies.
-        d_raw = d_tabs
-        d_off = g["feat_off"]
-        d_off[...] = 0.0
-        idx = np.flatnonzero(feats.mono_dir)
-        if idx.size:
-            d_raw = d_tabs.copy()
-            for j in idx:
-                n = int(feats.n_bins[j])
-                d = float(feats.mono_dir[j])
-                dout = d_tabs[j, : n + 1, 0]
-                r = cache.raw_tabs[j, 1 : n + 1, 0]
-                tail = np.cumsum(dout[1:][::-1])[::-1]
-                d_raw[j, 1 : n + 1, 0] = d * 2.0 * r * tail
-                d_off[j] = dout.sum()
+        sgrad = smooth_step_grad(stack.mu, gamma) * stack.active
+        d_gate = np.einsum("bo,bto->t", d_eta, run.vals)
+        g[f"{pre}_mu"][...] = d_gate * sgrad + reg[pre] * sgrad
+        d_vals = d_eta[:, None, :] * stack.gates(gamma)[None, :, None]
+        d_tabs = _scatter_bins(d_vals, run.codes, run.raw.shape[1])
         dsm = _mlp_backward(
-            d_raw, cache.sm, cache.hidden, feats.weights, core.activation,
-            [(g[f"feat_W{l}"], g[f"feat_b{l}"]) for l in range(len(feats.weights))],
+            stack.monotone_grad(d_tabs, run.raw, g), run.sm, run.hidden, stack.weights,
+            core.activation,
+            [(g[f"{pre}_W{l}"], g[f"{pre}_b{l}"]) for l in range(len(stack.weights))],
         )
-        np.matmul(feats.smooth, dsm, out=g["feat_emb"])
-    if cache.pvals is not None:
-        pairs = core.pairs
-        g = {k: v for k, v in views.items() if k.startswith("pair_")}
-        grads.update(g)
-        pg = core.pair_gates()
-        psgrad = smooth_step_grad(pairs.mu, core.pair_gamma) * pairs.active
-        d_pgate = np.einsum("bo,bqo->q", d_eta, cache.pvals)
-        g["pair_mu"][...] = d_pgate * psgrad + pair_reg_param * psgrad
-        d_pvals = d_eta[:, None, :] * pg[None, :, None]
-        M2 = pairs.emb.shape[1] * pairs.emb.shape[2]
-        d_ptabs = _scatter_bins(d_pvals, cache.pair_codes, M2)
-        dpsm = _mlp_backward(
-            d_ptabs, cache.psm, cache.phidden, pairs.weights, core.activation,
-            [(g[f"pair_W{l}"], g[f"pair_b{l}"]) for l in range(len(pairs.weights))],
-        )
-        _pair_smooth(core, dpsm, out=g["pair_emb"])
+        stack.smoothed(core.feats, dsm, out=g[f"{pre}_emb"])
     for name, g in grads.items():
         if name != "flat" and not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in {name}")
@@ -580,6 +597,20 @@ def _init_layers(rng, batch: int, dims: list[int], out_dim: int):
     return weights
 
 
+def _new_terms(rng, shape: tuple, hidden_sizes, out_dim: int, gamma: float, trainable: bool) -> dict:
+    """Fresh arrays for a stack of n terms with (n, *cells, d) tables.
+
+    A gate that selection trains starts partly open (mu = gamma/4), any
+    other fixed at exactly 1 (mu = gamma/2).
+    """
+    n, d = shape[0], shape[-1]
+    a = 1.0 / np.sqrt(d)
+    emb = rng.uniform(-a, a, size=shape)
+    weights = _init_layers(rng, n, [d] + list(hidden_sizes), out_dim)
+    mu = np.full(n, gamma / 4.0 if trainable else gamma / 2.0)
+    return dict(emb=emb, weights=weights, mu=mu, active=np.ones(n, dtype=bool))
+
+
 def init_core(
     n_bins: np.ndarray,
     out_dim: int,
@@ -598,9 +629,8 @@ def init_core(
 ) -> ModelCore:
     """Build a fresh model over features with the given observed bin counts.
 
-    `gates_trainable` and `pair_gates_trainable` choose the gates' start:
-    partly open (mu = gamma/4) for gates that selection trains, else fixed
-    at exactly 1 (mu = gamma/2).
+    `gates_trainable` and `pair_gates_trainable` choose the gates' start
+    (see `_new_terms`).
     """
     if activation not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {activation!r}")
@@ -612,11 +642,6 @@ def init_core(
     d = embedding_dim
     if pair_gamma is None:
         pair_gamma = gamma / 4.0
-    a = 1.0 / np.sqrt(d)
-    emb = rng.uniform(-a, a, size=(p, M, d))
-    weights = _init_layers(rng, p, [d] + list(hidden_sizes), out_dim)
-    mu0 = gamma / 4.0 if gates_trainable else gamma / 2.0
-    smooth = np.stack([smoothing_operator(int(n), M, kernel) for n in n_bins])
     if mono_dir is None:
         mono_dir = np.zeros(p, dtype=np.int64)
     else:
@@ -625,41 +650,30 @@ def init_core(
             raise ConfigError("monotone directions must have one entry per feature")
         if np.any(mono_dir != 0) and out_dim != 1:
             raise ConfigError("monotone constraints require a scalar output")
+    feats = FeatureStack(
+        **_new_terms(rng, (p, M, d), hidden_sizes, out_dim, gamma, gates_trainable),
+        n_bins=n_bins,
+        smooth=np.stack([smoothing_operator(int(n), M, kernel) for n in n_bins]),
+        mono_dir=mono_dir,
+        mono_off=np.zeros(p),
+    )
     idx = np.flatnonzero(mono_dir)
     if idx.size:
         # The cumulative-squares transform is stationary at raw output 0,
         # so a zero final layer could never move: constrained subnets get
         # the same fan-in init as hidden layers instead.
-        W, b = weights[-1]
+        W, b = feats.weights[-1]
         a_fin = 1.0 / np.sqrt(W.shape[1])
         W[idx] = rng.uniform(-a_fin, a_fin, size=(idx.size,) + W.shape[1:])
         b[idx] = rng.uniform(-a_fin, a_fin, size=(idx.size,) + b.shape[1:])
-    feats = FeatureStack(
-        emb=emb,
-        weights=weights,
-        mu=np.full(p, mu0),
-        n_bins=n_bins,
-        smooth=smooth,
-        mono_dir=mono_dir,
-        mono_off=np.zeros(p),
-        active=np.ones(p, dtype=bool),
-    )
     pstack = None
     if pairs:
-        q = len(pairs)
         for ja, jb in pairs:
             if not (0 <= ja < p and 0 <= jb < p) or ja == jb:
                 raise ConfigError(f"invalid feature pair ({ja}, {jb})")
-        pemb = rng.uniform(-a, a, size=(q, M, M, d))
-        pweights = _init_layers(rng, q, [d] + list(hidden_sizes), out_dim)
-        pmu0 = pair_gamma / 4.0 if pair_gates_trainable else pair_gamma / 2.0
-        pstack = PairStack(
-            pairs=[(int(x), int(y)) for x, y in pairs],
-            emb=pemb,
-            weights=pweights,
-            mu=np.full(q, pmu0),
-            active=np.ones(q, dtype=bool),
-        )
+        terms = _new_terms(rng, (len(pairs), M, M, d), hidden_sizes, out_dim, pair_gamma,
+                           pair_gates_trainable)
+        pstack = PairStack(pairs=[(int(x), int(y)) for x, y in pairs], **terms)
     return ModelCore(
         feats=feats,
         pairs=pstack,
@@ -674,16 +688,9 @@ def init_core(
 # --- parameter plumbing ------------------------------------------------------
 
 
-def _stacks(core: ModelCore) -> list:
-    """The stacks that hold parameters: features, then pairs if there are any."""
-    if core.pairs is not None and core.pairs.n_pairs > 0:
-        return [core.feats, core.pairs]
-    return [core.feats]
-
-
 def param_dict(core: ModelCore) -> dict[str, np.ndarray]:
     """Live views of every learnable array, keyed by stable names."""
-    return dict(kv for stack in _stacks(core) for kv in stack.learnable())
+    return dict(kv for stack, _ in core.stacks() for kv in stack.learnable())
 
 
 def param_span(core: ModelCore, keys) -> tuple[slice, list[str]]:

@@ -210,46 +210,30 @@ def feature_importance(
             f"{ens.n_samples}; pass pooled=True for non-training data"
         )
     folds = ens.folds()
-    k = len(ens.splits)
     rows = []
     for s, sp in enumerate(ens.splits):
         block = codes if pooled else codes[folds[s][0]]
         rows.append(_split_scores(sp, block, mode))
-    names = ens.feature_names
+    stratify = mode == "stratify"
     entries = []
-    fs = np.stack([r[0] for r in rows])  # (k, p)
-    fm = np.stack([r[1] for r in rows])
-    s_mean, s_se = _mean_se(fs)
-    m_mean, m_se = _mean_se(fm)
-    for j, name in enumerate(names):
-        entries.append(
-            ImportanceEntry(
-                name=name,
-                kind="feature",
-                mean=float(s_mean[j]),
-                se=float(s_se[j]),
-                per_split=fs[:, j].tolist(),
-                missing_mean=float(m_mean[j]) if mode == "stratify" else None,
-                missing_se=float(m_se[j]) if mode == "stratify" else None,
-                missing_per_split=fm[:, j].tolist() if mode == "stratify" else None,
-            )
-        )
-    if ens.selected_pairs:
-        ps = np.stack([r[2] for r in rows])
-        pm = np.stack([r[3] for r in rows])
-        p_mean, p_se = _mean_se(ps)
-        pm_mean, pm_se = _mean_se(pm)
-        for q, (a, b) in enumerate(ens.selected_pairs):
+    pair_names = [f"{a} x {b}" for a, b in ens.selected_pairs]
+    # `_split_scores` returns a (scores, missing) couple per kind of term.
+    for kind, names, col in (("feature", ens.feature_names, 0), ("pair", pair_names, 2)):
+        sc = np.stack([r[col] for r in rows])  # (k, terms)
+        ms = np.stack([r[col + 1] for r in rows])
+        s_mean, s_se = _mean_se(sc)
+        m_mean, m_se = _mean_se(ms)
+        for j, name in enumerate(names):
             entries.append(
                 ImportanceEntry(
-                    name=f"{a} x {b}",
-                    kind="pair",
-                    mean=float(p_mean[q]),
-                    se=float(p_se[q]),
-                    per_split=ps[:, q].tolist(),
-                    missing_mean=float(pm_mean[q]) if mode == "stratify" else None,
-                    missing_se=float(pm_se[q]) if mode == "stratify" else None,
-                    missing_per_split=pm[:, q].tolist() if mode == "stratify" else None,
+                    name=name,
+                    kind=kind,
+                    mean=float(s_mean[j]),
+                    se=float(s_se[j]),
+                    per_split=sc[:, j].tolist(),
+                    missing_mean=float(m_mean[j]) if stratify else None,
+                    missing_se=float(m_se[j]) if stratify else None,
+                    missing_per_split=ms[:, j].tolist() if stratify else None,
                 )
             )
     entries.sort(key=lambda e: (-e.mean, e.name))

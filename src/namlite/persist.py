@@ -262,7 +262,6 @@ def _model_in(d: dict) -> EnsembleModel:
             f"model format version {version!r} is newer than supported {FORMAT_VERSION}"
         )
     cfg = TrainConfig.from_dict(d["config"])
-    cfg.validate()
     task = str(d["task"])
     _check(task == cfg.task, f"task {task!r} differs from config task {cfg.task!r}")
     schema = [FeatureSchema.from_dict(s) for s in d["schema"]]

@@ -9,7 +9,8 @@ import numpy as np
 
 from .core import forward_pass, sigmoid
 from .errors import ConfigError
-from .train import TrainConfig, _pair_universe, _Phase, _prepare, _Split, _train_mains
+from .train import TrainConfig, _check_types, _pair_universe, _Phase, _prepare, _Split
+from .train import _train_mains
 
 __all__ = [
     "SelectionConfig",
@@ -41,6 +42,7 @@ class SelectionConfig:
     select_pairs: bool = False
 
     def validate(self) -> None:
+        _check_types(self)
         if not (0 <= self.reg_param < np.inf and 0 <= self.pair_reg_param < np.inf):
             raise ConfigError("regularization parameters must be non-negative and finite")
         if self.gamma is not None and not (0 < self.gamma < np.inf):
@@ -134,25 +136,19 @@ def _run_selection_step(run: _SelectionRun, reg: float, pair_reg: float):
 
 
 def _result_from(run: _SelectionRun) -> SelectionResult:
-    core = run.core
-    gates = core.gates()
     names = run.feature_names
-    gate_values = {names[j]: float(gates[j]) for j in range(len(names))}
-    selected = [names[j] for j in range(len(names)) if gates[j] > 0]
-    pair_gate_values = {}
-    selected_pairs = []
-    if core.pairs is not None and core.pairs.n_pairs > 0:
-        pg = core.pair_gates()
-        for q, (a, b) in enumerate(core.pairs.pairs):
-            key = (names[a], names[b])
-            pair_gate_values[key] = float(pg[q])
-            if pg[q] > 0:
-                selected_pairs.append(key)
+    gate_values = dict(zip(names, map(float, run.core.gates())))
+    # The core's pairs are the universe it was built with, in order.
+    pair_gate_values = {
+        (names[a], names[b]): float(g)
+        for (a, b), g in zip(run.pair_universe, run.core.pair_gates())
+    }
+    selected = [name for name, g in gate_values.items() if g > 0]
     if not selected:
         log.warning("selection kept zero features (reg_param too large?)")
     return SelectionResult(
         selected_feats=selected,
-        selected_pairs=selected_pairs,
+        selected_pairs=[key for key, g in pair_gate_values.items() if g > 0],
         gate_values=gate_values,
         pair_gate_values=pair_gate_values,
     )

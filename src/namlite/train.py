@@ -18,6 +18,7 @@ on `split(0)`, the same fold that `fit` trains first.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -69,6 +70,36 @@ __all__ = [
 TASKS = ("regression", "classification", "survival")
 
 
+def _is_int(v) -> bool:
+    """An integer, numpy's included, but not a bool (JSON true would pass as 1)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# Each declared config field type: the test a value must pass, and its name.
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+                        "a list of integers"),
+    "dict[str, int]": (lambda v: isinstance(v, dict) and all(
+        isinstance(k, str) and _is_int(d) for k, d in v.items()), "a map of names to integers"),
+}
+
+
+def _check_types(cfg) -> None:
+    """Raise ConfigError for the first field whose value is not of its annotated type.
+
+    `X | None` also takes None."""
+    for f in fields(cfg):
+        optional = f.type.endswith(" | None")
+        ok, what = _FIELD_TYPES[f.type.removesuffix(" | None")]
+        value = getattr(cfg, f.name)
+        if not (ok(value) or (optional and value is None)):
+            raise ConfigError(f"{f.name} must be {what}{' or null' if optional else ''}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     task: str = "regression"
@@ -93,30 +124,23 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_types(self)  # first, so the range checks below compare numbers
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.n_val_splits < 2:
-            raise ConfigError("n_val_splits must be >= 2")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.max_epochs < 0:
-            raise ConfigError("max_epochs must be >= 0")
-        if self.early_stop_patience < 1:
-            raise ConfigError("early_stop_patience must be >= 1")
+        for name, low in (("n_val_splits", 2), ("batch_size", 1), ("max_epochs", 0),
+                          ("early_stop_patience", 1), ("num_pairs", 0), ("embedding_dim", 1),
+                          ("kernel_size", 0), ("seed", 0), ("threads", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if not (0 < self.learning_rate < np.inf):
             raise ConfigError("learning_rate must be positive and finite")
-        if self.num_pairs < 0:
-            raise ConfigError("num_pairs must be >= 0")
-        if self.embedding_dim < 1:
-            raise ConfigError("embedding_dim must be >= 1")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("hidden_sizes must be positive")
-        if not (0 <= self.kernel_weight < np.inf) or self.kernel_size < 0:
-            raise ConfigError("kernel parameters must be non-negative and finite")
+        if not (0 <= self.kernel_weight < np.inf):
+            raise ConfigError("kernel_weight must be non-negative and finite")
         if not (0 <= self.pair_select_reg < np.inf):
             raise ConfigError("pair_select_reg must be non-negative and finite")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.censor_estimator not in ("km", "cox"):
             raise ConfigError("censor_estimator must be 'km' or 'cox'")
         for name, d in self.monotone.items():
@@ -137,11 +161,13 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """A validated config from `to_dict`'s keys; raises ConfigError on any other key."""
         known = {f for f in cls.__dataclass_fields__}
         bad = set(d) - known
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
         cfg = cls(**d)
+        cfg.validate()
         cfg.hidden_sizes = tuple(cfg.hidden_sizes)
         cfg.monotone = dict(cfg.monotone)
         return cfg
@@ -306,141 +332,53 @@ class _Phase:
     reg: float = 0.0
     pair_reg: float = 0.0
 
+    def of(self, prefix: str) -> tuple[bool, bool, float]:
+        """(trains the stack, trains its gates, gate regularizer) for the stack named `prefix`."""
+        return {"feat": (self.train_feats, self.feat_gates, self.reg),
+                "pair": (self.train_pairs, self.pair_gates, self.pair_reg)}[prefix]
+
 
 def _phase_keys(core: ModelCore, phase: _Phase) -> list[str]:
+    # Gates move only in phases that train them; offsets only for monotone features.
+    fixed = set() if np.any(core.feats.mono_dir) else {"feat_off"}
     keys = []
-    if phase.train_feats:
-        keys += ["feat_emb"]
-        keys += [f"feat_W{l}" for l in range(len(core.feats.weights))]
-        keys += [f"feat_b{l}" for l in range(len(core.feats.weights))]
-        if np.any(core.feats.mono_dir != 0):
-            keys.append("feat_off")
-        if phase.feat_gates:
-            keys.append("feat_mu")
-    if phase.train_pairs and core.pairs is not None and core.pairs.n_pairs > 0:
-        keys += ["pair_emb"]
-        keys += [f"pair_W{l}" for l in range(len(core.pairs.weights))]
-        keys += [f"pair_b{l}" for l in range(len(core.pairs.weights))]
-        if phase.pair_gates:
-            keys.append("pair_mu")
+    for stack, _ in core.stacks():
+        trains, gates, _ = phase.of(stack.prefix)
+        if trains:
+            keys += [k for k, _ in stack.learnable()
+                     if k not in fixed and (gates or k != f"{stack.prefix}_mu")]
     return keys
 
 
 def _reg_value(core: ModelCore, phase: _Phase) -> float:
     val = 0.0
-    if phase.reg > 0:
-        val += phase.reg * float(np.sum(core.gates()))
-    if phase.pair_reg > 0 and core.pairs is not None:
-        val += phase.pair_reg * float(np.sum(core.pair_gates()))
+    for stack, gamma in core.stacks():
+        _, _, reg = phase.of(stack.prefix)
+        if reg > 0:
+            val += reg * float(np.sum(stack.gates(gamma)))
     return val
 
 
 def _snapshot(core: ModelCore):
-    pairs_active = None
-    if core.pairs is not None:
-        pairs_active = core.pairs.active.copy()
-    return copy_params(core), core.feats.active.copy(), pairs_active
+    return copy_params(core), [stack.active.copy() for stack, _ in core.stacks()]
 
 
 def _restore(core: ModelCore, snap) -> None:
-    params, feat_active, pairs_active = snap
+    params, active = snap
     load_params(core, params)
-    core.feats.active[...] = feat_active
-    if pairs_active is not None:
-        core.pairs.active[...] = pairs_active
-
-
-def _run_phase(
-    core: ModelCore,
-    phase: _Phase,
-    codes_tr: np.ndarray,
-    codes_val: np.ndarray,
-    obj_tr,
-    obj_val,
-    cfg: TrainConfig,
-    shuffle_rng: np.random.Generator,
-) -> list[dict]:
-    n_tr = codes_tr.shape[0]
-    n_val = codes_val.shape[0]
-    pc_tr = flat_pair_codes(core, codes_tr) if phase.train_pairs else None
-    pc_val = flat_pair_codes(core, codes_val) if phase.train_pairs else None
-    off_tr = off_val = None
-    if not phase.train_feats:
-        # Mains are frozen: bake their contribution into a fixed offset.
-        off_tr = forward_pass(core, codes_tr, compute_pairs=False).eta
-        off_val = forward_pass(core, codes_val, compute_pairs=False).eta
-    adam = Adam(core, _phase_keys(core, phase), cfg.learning_rate)
-    best = _snapshot(core)
-    best_val = np.inf
-    bad = 0
-    history = []
-    batch = min(cfg.batch_size, n_tr)
-    val_rows = np.arange(n_val)
-    for epoch in range(cfg.max_epochs):
-        perm = shuffle_rng.permutation(n_tr)
-        epoch_loss = 0.0
-        for start in range(0, n_tr, batch):
-            rows = perm[start : start + batch]
-            cache = forward_pass(
-                core,
-                codes_tr[rows],
-                pair_codes=None if pc_tr is None else pc_tr[rows],
-                eta_offset=None if off_tr is None else off_tr[rows],
-                compute_feats=phase.train_feats,
-                compute_pairs=phase.train_pairs,
-            )
-            loss, d_eta = obj_tr.loss_grad(cache.eta, rows)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"training loss diverged at epoch {epoch} ({phase.name} phase)"
-                )
-            grads = backward_pass(
-                core, cache, d_eta, reg_param=phase.reg, pair_reg_param=phase.pair_reg
-            )
-            adam.step(grads)
-            epoch_loss += loss * rows.size / n_tr
-        if phase.feat_gates or phase.pair_gates:
-            _prune(core, adam, phase)
-        # Keep only eta: the cache's per-row arrays would outlive the epoch.
-        val_eta = forward_pass(
-            core,
-            codes_val,
-            pair_codes=pc_val,
-            eta_offset=off_val,
-            compute_feats=phase.train_feats,
-            compute_pairs=phase.train_pairs,
-        ).eta
-        val = obj_val.loss(val_eta, val_rows) + _reg_value(core, phase)
-        if not np.isfinite(val):
-            raise TrainingError(
-                f"validation loss diverged at epoch {epoch} ({phase.name} phase)"
-            )
-        history.append(
-            {"epoch": epoch, "train_loss": epoch_loss, "val_loss": val}
-        )
-        if val < best_val:
-            best_val = val
-            best = _snapshot(core)
-            bad = 0
-        else:
-            bad += 1
-            if bad >= cfg.early_stop_patience:
-                break
-    _restore(core, best)
-    return history
+    for (stack, _), was in zip(core.stacks(), active):
+        stack.active[...] = was
 
 
 def _prune(core: ModelCore, adam: Adam, phase: _Phase) -> None:
-    if phase.feat_gates:
-        s = smooth_step(core.feats.mu, core.gamma)
-        for j in np.flatnonzero(core.feats.active & (s <= 0.0)):
-            core.feats.active[j] = False
-            adam.zero_rows("feat_", int(j))
-    if phase.pair_gates and core.pairs is not None:
-        s = smooth_step(core.pairs.mu, core.pair_gamma)
-        for q in np.flatnonzero(core.pairs.active & (s <= 0.0)):
-            core.pairs.active[q] = False
-            adam.zero_rows("pair_", int(q))
+    """Switch off every term of a gate-training stack whose gate hit 0, and kill its momentum."""
+    for stack, gamma in core.stacks():
+        _, gates, _ = phase.of(stack.prefix)
+        if gates:
+            s = smooth_step(stack.mu, gamma)
+            for j in np.flatnonzero(stack.active & (s <= 0.0)):
+                stack.active[j] = False
+                adam.zero_rows(f"{stack.prefix}_", int(j))
 
 
 # --- objectives per split -----------------------------------------------------
@@ -535,35 +473,66 @@ class _Split:
         )
 
     def run(self, core: ModelCore, phase: _Phase, shuffle_rng) -> list[dict]:
-        return _run_phase(
-            core, phase, self.codes_tr, self.codes_val, self.obj_tr, self.obj_val,
-            self.cfg, shuffle_rng,
-        )
+        """Train `phase`'s parameters of `core`; keep the epoch of lowest validation loss."""
+        cfg = self.cfg
+        n_tr = self.codes_tr.shape[0]
 
+        def fold(codes):
+            """Bin codes, pair cells if pairs train, and the frozen mains' eta if mains do not."""
+            pc = flat_pair_codes(core, codes) if phase.train_pairs else None
+            off = None if phase.train_feats else forward_pass(core, codes, compute_pairs=False).eta
+            return codes, pc, off
 
-def _make_split(
-    cfg: TrainConfig,
-    codes_tr: np.ndarray,
-    y_tr,
-    codes_val: np.ndarray,
-    y_val,
-    n_bins: np.ndarray,
-    mono_dir: np.ndarray,
-    eval_times: np.ndarray | None,
-    seed_seq: np.random.SeedSequence,
-) -> _Split:
-    """A fold's context; its objectives, censoring model included, are built here.
+        def forward(inputs, rows=slice(None)):
+            codes, pc, off = (None if a is None else a[rows] for a in inputs)
+            return forward_pass(core, codes, pair_codes=pc, eta_offset=off,
+                                compute_feats=phase.train_feats, compute_pairs=phase.train_pairs)
 
-    `eval_times` is the survival grid, None for the other tasks.
-    """
-    if cfg.task == "survival":
-        censor = _censor_model(cfg, y_tr, codes_tr)
-        w1, w2 = sv.ipcw_weights(y_tr, eval_times, _censor_for(censor, codes_tr))
-        v1, v2 = sv.ipcw_weights(y_val, eval_times, _censor_for(censor, codes_val))
-        obj_tr, obj_val = _IpcwObjective(w1, w2), _IpcwObjective(v1, v2)
-    else:
-        obj_tr, obj_val = _OBJECTIVES[cfg.task](y_tr), _OBJECTIVES[cfg.task](y_val)
-    return _Split(cfg, codes_tr, codes_val, obj_tr, obj_val, n_bins, mono_dir, seed_seq)
+        tr_in, val_in = fold(self.codes_tr), fold(self.codes_val)
+        adam = Adam(core, _phase_keys(core, phase), cfg.learning_rate)
+        best = _snapshot(core)
+        best_val = np.inf
+        bad = 0
+        history = []
+        batch = min(cfg.batch_size, n_tr)
+        val_rows = np.arange(self.codes_val.shape[0])
+        for epoch in range(cfg.max_epochs):
+            perm = shuffle_rng.permutation(n_tr)
+            epoch_loss = 0.0
+            for start in range(0, n_tr, batch):
+                rows = perm[start : start + batch]
+                cache = forward(tr_in, rows)
+                loss, d_eta = self.obj_tr.loss_grad(cache.eta, rows)
+                if not np.isfinite(loss):
+                    raise TrainingError(
+                        f"training loss diverged at epoch {epoch} ({phase.name} phase)"
+                    )
+                grads = backward_pass(
+                    core, cache, d_eta, reg_param=phase.reg, pair_reg_param=phase.pair_reg
+                )
+                adam.step(grads)
+                epoch_loss += loss * rows.size / n_tr
+            _prune(core, adam, phase)
+            # Keep only eta: the cache's per-row arrays would outlive the epoch.
+            val_eta = forward(val_in).eta
+            val = self.obj_val.loss(val_eta, val_rows) + _reg_value(core, phase)
+            if not np.isfinite(val):
+                raise TrainingError(
+                    f"validation loss diverged at epoch {epoch} ({phase.name} phase)"
+                )
+            history.append(
+                {"epoch": epoch, "train_loss": epoch_loss, "val_loss": val}
+            )
+            if val < best_val:
+                best_val = val
+                best = _snapshot(core)
+                bad = 0
+            else:
+                bad += 1
+                if bad >= cfg.early_stop_patience:
+                    break
+        _restore(core, best)
+        return history
 
 
 @dataclass
@@ -591,11 +560,19 @@ class _Prepared:
         return [bm.feature for bm in self.bin_maps]
 
     def split(self, i: int) -> _Split:
+        """Fold i's context; its objectives, censoring model included, are built here."""
+        cfg = self.cfg
         tr, va = self.folds[i]
-        return _make_split(
-            self.cfg, self.codes[tr], self.y[tr], self.codes[va], self.y[va], self.n_bins,
-            self.mono_dir, self.eval_times, self.seeds[i],
-        )
+        codes_tr, y_tr, codes_val, y_val = self.codes[tr], self.y[tr], self.codes[va], self.y[va]
+        if cfg.task == "survival":
+            censor = _censor_model(cfg, y_tr, codes_tr)
+            w1, w2 = sv.ipcw_weights(y_tr, self.eval_times, _censor_for(censor, codes_tr))
+            v1, v2 = sv.ipcw_weights(y_val, self.eval_times, _censor_for(censor, codes_val))
+            obj_tr, obj_val = _IpcwObjective(w1, w2), _IpcwObjective(v1, v2)
+        else:
+            obj_tr, obj_val = _OBJECTIVES[cfg.task](y_tr), _OBJECTIVES[cfg.task](y_val)
+        return _Split(cfg, codes_tr, codes_val, obj_tr, obj_val, self.n_bins, self.mono_dir,
+                      self.seeds[i])
 
 
 def _prepare(table, y, cfg: TrainConfig, schema, selected_feats=None) -> _Prepared:
@@ -687,17 +664,13 @@ class SingleSplitModel:
 
     def predict_linked(self, codes: np.ndarray) -> np.ndarray:
         """Centered-route prediction g(beta0 + sum of centered contributions)."""
-        eta = self.predict_eta(codes)
-        if self.core.link == "sigmoid":
-            return sigmoid(eta)
-        return eta
+        return _link(self.predict_eta(codes), self.core.link)
 
     def predict_eta(self, codes: np.ndarray) -> np.ndarray:
-        feat, pair = self.tables()
-        eta = self.beta0 + np.einsum("bpo->bo", feat[np.arange(feat.shape[0]), codes])
-        if pair.shape[0]:
-            pc = flat_pair_codes(self.core, codes)
-            eta = eta + np.einsum("bqo->bo", pair[np.arange(pair.shape[0]), pc])
+        eta = self.beta0
+        for (stack, _), tab in zip(self.core.stacks(), self.tables()):
+            cells = stack.cell_codes(self.core.feats, codes)
+            eta = eta + np.einsum("bto->bo", tab[np.arange(tab.shape[0]), cells])
         return eta
 
 
@@ -707,15 +680,13 @@ def finalize(core: ModelCore, codes_tr: np.ndarray, history: dict, val_loss: flo
     c_j is the training mean of the gated shape output; beta0 is the sum
     of all c's, so centered and raw routes agree when gates sit at 0 or 1.
     """
-    tabs, ptabs = _ungated_tables(core)
-    p, q = tabs.shape[0], ptabs.shape[0]
-    vals = tabs[np.arange(p)[None, :], codes_tr]
-    c_feat = core.gates()[:, None] * vals.mean(axis=0)
-    if q:
-        pvals = ptabs[np.arange(q)[None, :], flat_pair_codes(core, codes_tr)]
-        c_pair = core.pair_gates()[:, None] * pvals.mean(axis=0)
-    else:
-        c_pair = np.zeros((0, core.out_dim))
+    tables = _ungated_tables(core)
+    # One center per term of each stack; c_pair stays (0, out) without pairs.
+    centers = [np.zeros((0, core.out_dim))] * len(tables)
+    for k, ((stack, gamma), tab) in enumerate(zip(core.stacks(), tables)):
+        vals = tab[np.arange(tab.shape[0])[None, :], stack.cell_codes(core.feats, codes_tr)]
+        centers[k] = stack.gates(gamma)[:, None] * vals.mean(axis=0)
+    c_feat, c_pair = centers
     beta0 = c_feat.sum(axis=0) + c_pair.sum(axis=0)
     split = SingleSplitModel(
         core=core,
@@ -725,7 +696,7 @@ def finalize(core: ModelCore, codes_tr: np.ndarray, history: dict, val_loss: flo
         history=history,
         val_loss=val_loss,
     )
-    split._compile(tabs, ptabs)
+    split._compile(*tables)
     return split
 
 
@@ -785,11 +756,8 @@ def _train_pairs(split: _Split, core: ModelCore, pairs: list, rng, shuffle_rng) 
 
 
 def _main_importance(core: ModelCore, codes: np.ndarray) -> np.ndarray:
-    tabs = bin_tables(core)
-    p = core.feats.n_features
-    vals = tabs[np.arange(p)[None, :], codes]
-    contrib = vals * core.gates()[None, :, None]
-    return np.abs(contrib).mean(axis=(0, 2))
+    vals = forward_pass(core, codes, compute_pairs=False).stacks["feat"].vals
+    return np.abs(vals * core.gates()[None, :, None]).mean(axis=(0, 2))
 
 
 def _pair_universe(core: ModelCore | None, codes: np.ndarray) -> list[tuple[int, int]]:
@@ -965,6 +933,9 @@ def fit(
                 raise DataError(f"selected pair ({a!r}, {b!r}) not in features")
         raw_idx = [(names.index(a), names.index(b)) for a, b in selected_pairs]
         pair_idx = sorted((min(a, b), max(a, b)) for a, b in raw_idx)
+        for (a, b), nxt in zip(pair_idx, pair_idx[1:]):
+            if (a, b) == nxt:
+                raise DataError(f"pair ({names[a]!r}, {names[b]!r}) is selected more than once")
     elif cfg.num_pairs > 0 and len(names) >= 2:
         # Pairs are screened once, on split 0's trained mains; split 0
         # keeps those mains and trains the chosen pairs on top.

@@ -178,6 +178,22 @@ class TestTrain:
         p.write_text(json.dumps(cfg))
         assert main(["train", str(p)]) == 3
 
+    @pytest.mark.parametrize("command,bad", [
+        ("train", {"hidden_sizes": 32}),
+        ("train", {"max_bins": 4.5}),
+        ("train", {"features": "x1"}),
+        ("train", {"pairs": [["x1"]]}),
+        ("train", {"pairs": ["x1", "x2"]}),
+        ("select", {"reg_param": "x"}),
+    ])
+    def test_wrong_typed_value_is_config_error(self, tmp_path, reg_run, command, bad, capsys):
+        cfg = json.loads(reg_run["cfg_path"].read_text())
+        cfg.update(bad, output_dir=str(tmp_path / "o"))
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        assert main([command, str(p)]) == 2
+        assert next(iter(bad)) in capsys.readouterr().err
+
     def test_malformed_json_is_config_error(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{oops")

@@ -251,7 +251,7 @@ class TestPairSmoothedEmbedding:
         core = tiny_core(rng, kernel=cfg, pairs=[(0, 1), (2, 1)])
         M = core.feats.padded
         codes = np.zeros((1, 3), dtype=np.int64)
-        psm = forward_pass(core, codes).psm.reshape(2, M, M, -1)
+        psm = forward_pass(core, codes).stacks["pair"].sm.reshape(2, M, M, -1)
         for k, (ja, jb) in enumerate(core.pairs.pairs):
             na, nb = (int(core.feats.n_bins[j]) + 1 for j in (ja, jb))
             emb = core.pairs.emb[k, :na, :nb]
@@ -452,7 +452,58 @@ class TestBackward:
             backward_pass(core, cache, np.full((4, 1), np.inf))
 
 
+def _masked_sigmoid(x):
+    """Reference for `sigmoid`: split by sign with boolean masks, one exp per side."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestPartialPasses:
+    """The passes training runs with one stack frozen, against the full pass."""
+
+    def _full(self):
+        rng = np.random.default_rng(46)
+        core = tiny_core(rng, n_bins=(5, 3, 4), pairs=[(0, 1), (1, 2)],
+                         mono_dir=np.array([0, 0, 1]))
+        core.feats.mono_off[:] = rng.normal(size=3)
+        codes = random_codes(rng, 12, core.feats.n_bins)
+        d_eta = rng.normal(size=(12, 1))
+        full = forward_pass(core, codes)
+        return core, codes, d_eta, full, backward_pass(core, full, d_eta, 0.07, 0.03)
+
+    @pytest.mark.parametrize("frozen,trained", [("feat", "pair"), ("pair", "feat")])
+    def test_matches_full_pass(self, frozen, trained):
+        core, codes, d_eta, full, want = self._full()
+        runs = {"feat": dict(compute_pairs=False), "pair": dict(compute_feats=False)}
+        offset = forward_pass(core, codes, **runs[frozen]).eta
+        part = forward_pass(core, codes, eta_offset=offset, **runs[trained])
+        np.testing.assert_array_equal(part.eta, full.eta)
+        assert set(part.stacks) == {trained}
+        got = backward_pass(core, part, d_eta, 0.07, 0.03)
+        assert not any(k.startswith(frozen + "_") for k in got)
+        names = [k for k in want if k.startswith(trained + "_")]
+        assert names and sorted(names) == sorted(k for k in got if k != "flat")
+        for k in names:
+            np.testing.assert_array_equal(got[k], want[k], err_msg=k)
+
+
 class TestSigmoid:
+    def test_bit_identical_to_masked_formula(self):
+        rng = np.random.default_rng(9)
+        edge = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, -1e-300, 709.8, -745.2,
+                37.0, -37.0, 2.0, -2.0]
+        x = np.concatenate([rng.normal(scale=s, size=400) for s in (1e-9, 1.0, 40.0, 900.0)]
+                           + [np.array(edge)]).reshape(2, 3, -1)
+        got, want = sigmoid(x), _masked_sigmoid(x)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+
     def test_matches_definition_and_is_stable(self):
         x = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
         s = sigmoid(x)

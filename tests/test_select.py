@@ -79,7 +79,8 @@ class TestSelectionConfig:
             SelectionConfig(pair_gamma=-1.0).validate()
         for kw in ({"reg_param": np.nan}, {"reg_param": np.inf}, {"pair_reg_param": np.nan},
                    {"pair_reg_param": np.inf}, {"gamma": np.inf}, {"gamma": np.nan},
-                   {"pair_gamma": np.inf}):
+                   {"pair_gamma": np.inf}, {"reg_param": "x"}, {"gamma": "0.5"},
+                   {"select_pairs": 1}):
             with pytest.raises(ConfigError):
                 SelectionConfig(**kw).validate()
 

@@ -134,6 +134,20 @@ class TestTrainConfig:
             {"pair_select_reg": -1.0},
             {"threads": 0},
             {"threads": -2},
+            {"hidden_sizes": 32},
+            {"hidden_sizes": [8, "16"]},
+            {"max_epochs": "ten"},
+            {"monotone": [1]},
+            {"monotone": {"x": True}},
+            {"threads": "2"},
+            {"threads": True},
+            {"seed": 1.5},
+            {"seed": -1},
+            {"batch_size": 2.5},
+            {"kernel_size": 2.5},
+            {"n_val_splits": 2.5},
+            {"embedding_dim": 4.0},
+            {"max_bins": 4.5},
         ],
     )
     def test_validate_rejects(self, kw):
@@ -152,10 +166,11 @@ def _toy_codes(rng, n, n_bins):
 
 def _toy_split(cfg, codes, y, n_tr, n_bins):
     """A split whose first `n_tr` rows train and the rest validate."""
-    return train._make_split(
-        cfg, codes[:n_tr], y[:n_tr], codes[n_tr:], y[n_tr:], n_bins,
-        np.zeros(len(n_bins), dtype=np.int64), None, np.random.SeedSequence(cfg.seed),
+    prep = train._Prepared(
+        cfg, [], [], codes, y, n_bins, np.zeros(len(n_bins), dtype=np.int64), None,
+        [(np.arange(n_tr), np.arange(n_tr, len(y)))], [np.random.SeedSequence(cfg.seed)],
     )
+    return prep.split(0)
 
 
 class TestSingleSplit:
@@ -314,6 +329,13 @@ class TestFit:
         assert ens.pair_indices == [(0, 2)]
         for sp in ens.splits:
             assert sp.core.pairs.n_pairs == 1
+
+    def test_repeated_pair_raises(self):
+        rng = np.random.default_rng(14)
+        table = {c: rng.normal(size=60) for c in ("a", "b", "c")}
+        with pytest.raises(DataError, match="'a', 'b'"):
+            fit(table, table["a"], _fast_cfg(max_epochs=1),
+                selected_pairs=[("a", "b"), ("c", "a"), ("b", "a")])
 
     def test_every_split_runs_through_fit_single_split(self, monkeypatch):
         # Split 0 of a screened fit too: it reuses the screening mains.
