@@ -232,7 +232,9 @@ class FeatureStack(_Stack):
     def cell_codes(self, feats: FeatureStack, codes: np.ndarray) -> np.ndarray:
         return codes
 
-    def smoothed(self, feats: FeatureStack, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def smoothed(
+        self, feats: FeatureStack, x: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Each feature's operator applied to its (M, d) table in `x`."""
         return np.matmul(self.smooth, x, out=out)
 
@@ -295,8 +297,10 @@ class PairStack(_Stack):
         ja, jb = np.array(self.pairs).T
         return codes[:, ja] * feats.padded + codes[:, jb]
 
-    def smoothed(self, feats: FeatureStack, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Smooth the q pair tables in `x`, (q, M, M, d) values, along both axes: (q, M*M, d).
+    def smoothed(
+        self, feats: FeatureStack, x: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Smooth the q pair tables in `x`, (q, M, M, d), along both axes: (q, M*M, d).
 
         Axis a takes each pair's first-feature operator from `feats.smooth`,
         axis b its second. The operators are symmetric and the kernel is
@@ -482,7 +486,8 @@ def forward_pass(
     With compute_feats=False the feature contribution must already be in
     eta_offset (used while pairs train against frozen mains).
     """
-    eta = np.zeros((codes.shape[0], core.out_dim))
+    B = codes.shape[0]
+    eta = np.zeros((B, core.out_dim))
     if eta_offset is not None:
         eta = eta + eta_offset
     compute = {"feat": compute_feats, "pair": compute_pairs}
@@ -597,7 +602,9 @@ def _init_layers(rng, batch: int, dims: list[int], out_dim: int):
     return weights
 
 
-def _new_terms(rng, shape: tuple, hidden_sizes, out_dim: int, gamma: float, trainable: bool) -> dict:
+def _new_terms(
+    rng, shape: tuple, hidden_sizes, out_dim: int, gamma: float, trainable: bool
+) -> dict:
     """Fresh arrays for a stack of n terms with (n, *cells, d) tables.
 
     A gate that selection trains starts partly open (mu = gamma/4), any

@@ -97,7 +97,8 @@ def _check_types(cfg) -> None:
         ok, what = _FIELD_TYPES[f.type.removesuffix(" | None")]
         value = getattr(cfg, f.name)
         if not (ok(value) or (optional and value is None)):
-            raise ConfigError(f"{f.name} must be {what}{' or null' if optional else ''}, got {value!r}")
+            what += " or null" if optional else ""
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -360,7 +361,8 @@ def _reg_value(core: ModelCore, phase: _Phase) -> float:
 
 
 def _snapshot(core: ModelCore):
-    return copy_params(core), [stack.active.copy() for stack, _ in core.stacks()]
+    active = [stack.active.copy() for stack, _ in core.stacks()]
+    return copy_params(core), active
 
 
 def _restore(core: ModelCore, snap) -> None:
@@ -756,8 +758,11 @@ def _train_pairs(split: _Split, core: ModelCore, pairs: list, rng, shuffle_rng) 
 
 
 def _main_importance(core: ModelCore, codes: np.ndarray) -> np.ndarray:
-    vals = forward_pass(core, codes, compute_pairs=False).stacks["feat"].vals
-    return np.abs(vals * core.gates()[None, :, None]).mean(axis=(0, 2))
+    tabs = bin_tables(core)
+    p = core.feats.n_features
+    vals = tabs[np.arange(p)[None, :], codes]
+    contrib = vals * core.gates()[None, :, None]
+    return np.abs(contrib).mean(axis=(0, 2))
 
 
 def _pair_universe(core: ModelCore | None, codes: np.ndarray) -> list[tuple[int, int]]:
