@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from namlite.persist import (
     save_model,
 )
 from namlite.train import TrainConfig, fit, predict
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +129,22 @@ class TestRoundTrip:
                     b.core.feats.emb[j, : bm.n_bins + 1],
                 )
             np.testing.assert_array_equal(a.core.feats.smooth, b.core.feats.smooth)
+
+    def test_golden_model_is_pinned(self):
+        """A committed classification model with one pair: the save format stays fixed.
+
+        It was fitted with max_bins=8, embedding_dim=4, hidden_sizes=(8,)
+        and 2 splits; its hash and its predictions on a 16-row table with
+        missing values and an unseen category were recorded with it.
+        """
+        text = (GOLDEN / "pair_model.json").read_text(encoding="utf-8")
+        expected = json.loads((GOLDEN / "pair_model_expected.json").read_text(encoding="utf-8"))
+        ens = loads_model(text)
+        assert dumps_model(ens) == text
+        assert model_hash(ens) == expected["model_hash"]
+        np.testing.assert_allclose(
+            ens.predict(expected["table"]), expected["predictions"], rtol=0, atol=1e-12
+        )
 
     def test_loaded_model_keeps_bin_labels(self, trained):
         ens, _ = trained
