@@ -24,8 +24,10 @@ views taken before it are stale.
 
 Features and pairs are stacks of one kind, listed with their gate widths
 by `ModelCore.stacks()`; forward, backward and the table builders run one
-code path over them. Each stack supplies what differs: its `param_dict`
-name `prefix`, `cell_codes` (the bin codes, or `flat_pair_codes`),
+code path over them, and so do save, load, predict and the importance
+scores. Each stack supplies what differs: its `param_dict` name `prefix`,
+`cell_codes` (the bin codes, or `flat_pair_codes`), `extents` (each term's
+true table shape inside the padded one, which saving cuts to),
 `smoothed` (S @ x, or the two-axis pair smoothing; each its own gradient)
 and `monotone` with its backward `monotone_grad` (identity for pairs).
 """
@@ -232,6 +234,10 @@ class FeatureStack(_Stack):
     def cell_codes(self, feats: FeatureStack, codes: np.ndarray) -> np.ndarray:
         return codes
 
+    def extents(self, feats: FeatureStack) -> list[tuple[int, ...]]:
+        """Each feature's true table shape, (n_j + 1,): its missing bin, then its observed bins."""
+        return [(int(n) + 1,) for n in self.n_bins]
+
     def smoothed(
         self, feats: FeatureStack, x: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
@@ -296,6 +302,10 @@ class PairStack(_Stack):
         """Each row's flat cell per pair, a * M + b, from its features' bin codes."""
         ja, jb = np.array(self.pairs).T
         return codes[:, ja] * feats.padded + codes[:, jb]
+
+    def extents(self, feats: FeatureStack) -> list[tuple[int, ...]]:
+        """Each pair's true table shape, (n_a + 1, n_b + 1), from its features' bin counts."""
+        return [(int(feats.n_bins[a]) + 1, int(feats.n_bins[b]) + 1) for a, b in self.pairs]
 
     def smoothed(
         self, feats: FeatureStack, x: np.ndarray, out: np.ndarray | None = None

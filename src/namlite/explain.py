@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import flat_pair_codes
 from .data import transform
 from .errors import ConfigError, DataError
 from .survival import CalibrationBin, as_survival_labels, calibration_table
@@ -155,41 +154,35 @@ def _codes_for(ens: EnsembleModel, table) -> np.ndarray:
 # --- importance ------------------------------------------------------------
 
 
-def _split_scores(
-    sp, codes: np.ndarray, mode: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-feature and per-pair scores for one split on one sample block.
+def _mean(values: np.ndarray) -> float:
+    return values.mean() if values.size else 0.0
 
-    Score is the mean absolute centered gated contribution, averaged over
-    output dimensions. The stratify missing score for a feature is the
-    magnitude of its missing-bin output; for a pair it is the mean over
-    samples that hit any missing cell.
+
+def _split_scores(sp, codes: np.ndarray, mode: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (scores, missing) couple per stack of the split's core, for one sample block.
+
+    A term's score is the mean absolute centered gated contribution,
+    averaged over output dimensions. The stratify missing score is the one
+    rule that differs by stack: for a feature it is the magnitude of its
+    missing-bin output, for a pair the mean over samples that hit any
+    missing cell.
     """
-    gated, pgated = sp.tables()  # (p, M, out), (q, M*M, out)
-    p = gated.shape[0]
-    per_bin = np.abs(gated).mean(axis=2)  # (p, M)
-    contrib = per_bin[np.arange(p)[None, :], codes]  # (n, p)
     observed = codes > 0
-    scores = np.zeros(p)
-    missing = per_bin[:, 0]
-    for j in range(p):
-        inc = slice(None) if mode == "include" else observed[:, j]
-        col = contrib[inc, j]
-        scores[j] = col.mean() if col.size else 0.0
-    q = pgated.shape[0]
-    pscores = np.zeros(q)
-    pmissing = np.zeros(q)
-    if q:
-        pc = flat_pair_codes(sp.core, codes)
-        pcontrib = np.abs(pgated).mean(axis=2)[np.arange(q)[None, :], pc]  # (n, q)
-        for k, (ja, jb) in enumerate(sp.core.pairs.pairs):
-            both = observed[:, ja] & observed[:, jb]
-            inc = slice(None) if mode == "include" else both
-            col = pcontrib[inc, k]
-            pscores[k] = col.mean() if col.size else 0.0
-            hit = pcontrib[~both, k]
-            pmissing[k] = hit.mean() if hit.size else 0.0
-    return scores, missing, pscores, pmissing
+    out = []
+    for (stack, _), tab in zip(sp.core.stacks(), sp.tables()):
+        n = tab.shape[0]
+        per_cell = np.abs(tab).mean(axis=2)  # (n, cells)
+        contrib = per_cell[np.arange(n)[None, :], stack.cell_codes(sp.core.feats, codes)]
+        if stack.prefix == "feat":
+            seen, missing = observed, per_cell[:, 0]
+        else:
+            ja, jb = np.array(stack.pairs).T
+            seen = observed[:, ja] & observed[:, jb]
+            missing = np.array([_mean(contrib[~seen[:, k], k]) for k in range(n)])
+        scores = [_mean(contrib[slice(None) if mode == "include" else seen[:, k], k])
+                  for k in range(n)]
+        out.append((np.array(scores), missing))
+    return out
 
 
 def feature_importance(
@@ -216,11 +209,11 @@ def feature_importance(
         rows.append(_split_scores(sp, block, mode))
     stratify = mode == "stratify"
     entries = []
-    pair_names = [f"{a} x {b}" for a, b in ens.selected_pairs]
-    # `_split_scores` returns a (scores, missing) couple per kind of term.
-    for kind, names, col in (("feature", ens.feature_names, 0), ("pair", pair_names, 2)):
-        sc = np.stack([r[col] for r in rows])  # (k, terms)
-        ms = np.stack([r[col + 1] for r in rows])
+    kinds = [("feature", ens.feature_names),
+             ("pair", [f"{a} x {b}" for a, b in ens.selected_pairs])]
+    for (kind, names), *couples in zip(kinds, *rows):  # one stack of every split
+        sc = np.stack([c[0] for c in couples])  # (k, terms)
+        ms = np.stack([c[1] for c in couples])
         s_mean, s_se = _mean_se(sc)
         m_mean, m_se = _mean_se(ms)
         for j, name in enumerate(names):
@@ -310,8 +303,8 @@ def pair_shape_function(
         raise DataError(f"pair ({feature_a!r}, {feature_b!r}) not selected")
     q = [tuple(p) for p in ens.selected_pairs].index(key)
     ja, jb = names.index(key[0]), names.index(key[1])
-    nba = ens.bin_maps[ja].n_bins + 1
-    nbb = ens.bin_maps[jb].n_bins + 1
+    core = ens.splits[0].core
+    nba, nbb = core.pairs.extents(core.feats)[q]
     if ens.task == "survival":
         grid = ens.eval_times
         if eval_time is None:
@@ -324,7 +317,7 @@ def pair_shape_function(
         t_out = float(grid[t_idx])
     else:
         t_idx, t_out = 0, None
-    M = ens.splits[0].core.feats.padded
+    M = core.feats.padded
     surfaces = [sp.tables()[1][q, :, t_idx].reshape(M, M)[:nba, :nbb] for sp in ens.splits]
     mean = np.mean(surfaces, axis=0)
     meta = _metadata(ens, pair=[key[0], key[1]], eval_time=t_out)

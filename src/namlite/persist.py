@@ -1,8 +1,9 @@
 """Versioned JSON persistence for fitted ensembles.
 
-Arrays are stored row-major as nested lists at their true (unpadded)
-sizes; floats survive the repr round-trip exactly, so save -> load ->
-save reproduces identical bytes. Smoothing operators are rebuilt from the
+Every stack of a core goes through one `_terms_doc`/`_terms_in` pair,
+row-major as nested lists, each embedding cut to its term's `extents`;
+floats survive the repr round-trip exactly, so save -> load -> save
+reproduces identical bytes. Smoothing operators are rebuilt from the
 config on load rather than stored. Loading checks keys, shapes and
 finiteness and raises DataError on any model it cannot use.
 """
@@ -33,42 +34,35 @@ __all__ = [
 FORMAT_VERSION = "1.0"
 
 
-def _weights_doc(weights) -> list:
-    return [[W, b] for W, b in weights]
+def _terms_doc(stack, feats: FeatureStack) -> dict:
+    """One stack's saved arrays, each term's embedding cut to its extent.
+
+    Pairs lead with their feature index and features end with their
+    monotone settings: the key order the format fixed.
+    """
+    doc = {"index": [[int(a), int(b)] for a, b in stack.pairs]} if stack.prefix == "pair" else {}
+    doc.update(
+        emb=[e[tuple(map(slice, ext))] for e, ext in zip(stack.emb, stack.extents(feats))],
+        weights=[[W, b] for W, b in stack.weights],
+        mu=stack.mu,
+        active=stack.active.astype(int),
+    )
+    if stack.prefix == "feat":
+        doc.update(mono_dir=stack.mono_dir, mono_off=stack.mono_off)
+    return doc
 
 
 def _core_doc(core: ModelCore) -> dict:
-    feats = core.feats
-    out = {
+    terms = {stack.prefix: _terms_doc(stack, core.feats) for stack, _ in core.stacks()}
+    return {
         "gamma": core.gamma,
         "pair_gamma": core.pair_gamma,
         "out_dim": core.out_dim,
         "activation": core.activation,
         "link": core.link,
-        "feats": {
-            "emb": [feats.emb[j, : int(n) + 1] for j, n in enumerate(feats.n_bins)],
-            "weights": _weights_doc(feats.weights),
-            "mu": feats.mu,
-            "active": feats.active.astype(int),
-            "mono_dir": feats.mono_dir,
-            "mono_off": feats.mono_off,
-        },
-        "pairs": None,
+        "feats": terms["feat"],
+        "pairs": terms.get("pair"),
     }
-    if core.pairs is not None and core.pairs.n_pairs > 0:
-        pairs = core.pairs
-        nb = core.feats.n_bins
-        out["pairs"] = {
-            "index": [[int(a), int(b)] for a, b in pairs.pairs],
-            "emb": [
-                pairs.emb[q, : int(nb[a]) + 1, : int(nb[b]) + 1]
-                for q, (a, b) in enumerate(pairs.pairs)
-            ],
-            "weights": _weights_doc(pairs.weights),
-            "mu": pairs.mu,
-            "active": pairs.active.astype(int),
-        }
-    return out
 
 
 def _split_doc(sp: SingleSplitModel) -> dict:
@@ -148,11 +142,19 @@ def _floats_in(raw, shape: tuple, what: str) -> np.ndarray:
     return a
 
 
-def _weights_in(raw: list, n: int, d_in: int, out_dim: int, what: str) -> list:
-    """Layer weights, checked to chain from ``d_in`` inputs to ``out_dim``."""
+def _terms_in(cls, raw: dict, shape: tuple, out_dim: int, what: str, feats=None, **fields):
+    """One stack of `cls` from its saved arrays; its padded tables are `shape`, (n, *cells, d).
+
+    The layers must chain from d inputs to ``out_dim``. Each term's
+    embedding must have its extent; the rest of the padded table stays
+    zero. `feats` is the feature stack a pair stack reads.
+    """
+    n, width = shape[0], shape[-1]
+    _check(len(raw["emb"]) == n, f"{len(raw['emb'])} embeddings for {n} {what}")
+    active = np.asarray(raw["active"], dtype=np.int64)
+    _check(active.shape == (n,), f"{what}.active must hold one flag per term")
     weights = []
-    width = d_in
-    for k, (W, b) in enumerate(raw):
+    for k, (W, b) in enumerate(raw["weights"]):
         W = np.asarray(W, dtype=np.float64)
         out = W.shape[-1] if W.ndim == 3 else -1
         W = _floats_in(W, (n, width, out), f"{what}.weights[{k}].W")
@@ -160,7 +162,12 @@ def _weights_in(raw: list, n: int, d_in: int, out_dim: int, what: str) -> list:
         weights.append((W, b))
         width = out
     _check(weights and width == out_dim, f"{what} layers do not end at out_dim {out_dim}")
-    return weights
+    stack = cls(emb=np.zeros(shape), weights=weights, mu=_floats_in(raw["mu"], (n,), f"{what}.mu"),
+                active=active.astype(bool), **fields)
+    for k, ext in enumerate(stack.extents(feats or stack)):
+        cut = tuple(map(slice, ext))
+        stack.emb[k][cut] = _floats_in(raw["emb"][k], (*ext, shape[-1]), f"{what}.emb[{k}]")
+    return stack
 
 
 def _core_in(
@@ -177,46 +184,19 @@ def _core_in(
     _check(np.isfinite([gamma, pair_gamma]).all() and min(gamma, pair_gamma) > 0,
            "gate widths must be positive and finite")
     f = d["feats"]
-    _check(len(f["emb"]) == p, f"{len(f['emb'])} feature embeddings for {p} features")
-    emb = np.zeros((p, M, dims))
-    for j, rows in enumerate(f["emb"]):
-        emb[j, : n_bins[j] + 1] = _floats_in(rows, (n_bins[j] + 1, dims), f"feats.emb[{j}]")
     mono_dir = np.asarray(f["mono_dir"], dtype=np.int64)
     _check(mono_dir.shape == (p,) and np.isin(mono_dir, (-1, 0, 1)).all(),
            "mono_dir must hold -1, 0 or +1 per feature")
-    active = np.asarray(f["active"], dtype=np.int64)
-    _check(active.shape == (p,), "feats.active must hold one flag per feature")
-    feats = FeatureStack(
-        emb=emb,
-        weights=_weights_in(f["weights"], p, dims, out_dim, "feats"),
-        mu=_floats_in(f["mu"], (p,), "feats.mu"),
-        n_bins=n_bins,
-        smooth=smooth,
-        mono_dir=mono_dir,
-        mono_off=_floats_in(f["mono_off"], (p,), "feats.mono_off"),
-        active=active.astype(bool),
-    )
+    feats = _terms_in(FeatureStack, f, (p, M, dims), out_dim, "feats", n_bins=n_bins,
+                      smooth=smooth, mono_dir=mono_dir,
+                      mono_off=_floats_in(f["mono_off"], (p,), "feats.mono_off"))
     pairs = None
     if d["pairs"] is not None:
-        pr = d["pairs"]
-        index = [(int(a), int(b)) for a, b in pr["index"]]
-        q = len(index)
+        index = [(int(a), int(b)) for a, b in d["pairs"]["index"]]
         _check(all(0 <= a < p and 0 <= b < p and a != b for a, b in index),
                "pair index out of range")
-        _check(len(pr["emb"]) == q, f"{len(pr['emb'])} pair embeddings for {q} pairs")
-        pemb = np.zeros((q, M, M, dims))
-        for k, (a, b) in enumerate(index):
-            na, nb = n_bins[a] + 1, n_bins[b] + 1
-            pemb[k, :na, :nb] = _floats_in(pr["emb"][k], (na, nb, dims), f"pairs.emb[{k}]")
-        active = np.asarray(pr["active"], dtype=np.int64)
-        _check(active.shape == (q,), "pairs.active must hold one flag per pair")
-        pairs = PairStack(
-            pairs=index,
-            emb=pemb,
-            weights=_weights_in(pr["weights"], q, dims, out_dim, "pairs"),
-            mu=_floats_in(pr["mu"], (q,), "pairs.mu"),
-            active=active.astype(bool),
-        )
+        pairs = _terms_in(PairStack, d["pairs"], (len(index), M, M, dims), out_dim, "pairs",
+                          feats, pairs=index)
     return ModelCore(
         feats=feats,
         pairs=pairs,

@@ -620,11 +620,9 @@ def _train_mains(split: _Split, rng, shuffle_rng) -> tuple[ModelCore, list[dict]
 # --- split models -------------------------------------------------------------
 
 
-def _ungated_tables(core: ModelCore) -> tuple[np.ndarray, np.ndarray]:
-    """The core's outputs per bin, (p, M, out), and per pair cell, (q, M*M, out)."""
-    if core.pairs is None or core.pairs.n_pairs == 0:
-        return bin_tables(core), np.zeros((0, 0, core.out_dim))
-    return bin_tables(core), pair_bin_tables(core)
+def _ungated_tables(core: ModelCore) -> list[np.ndarray]:
+    """The core's outputs per bin, (p, M, out), then per pair cell, (q, M*M, out), if any."""
+    return [build(core) for build, _ in zip((bin_tables, pair_bin_tables), core.stacks())]
 
 
 @dataclass
@@ -648,20 +646,20 @@ class SingleSplitModel:
     history: dict
     val_loss: float
 
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centered gated outputs per bin, (p, M, out), and per pair cell, (q, M*M, out)."""
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """The centered gated `_ungated_tables`: one table per stack of `core.stacks()`."""
         compiled = getattr(self, "_tables", None)
         if compiled is None:
-            compiled = self._compile(*_ungated_tables(self.core))
+            compiled = self._compile(_ungated_tables(self.core))
         return compiled
 
-    def _compile(self, tabs: np.ndarray, ptabs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _compile(self, tables: list[np.ndarray]) -> tuple[np.ndarray, ...]:
         """Gate and center the core's ungated tables; keep them read-only in `_tables`."""
-        core = self.core
-        feat = core.gates()[:, None, None] * tabs - self.c_feat[:, None, :]
-        pair = core.pair_gates()[:, None, None] * ptabs - self.c_pair[:, None, :]
-        feat.flags.writeable = pair.flags.writeable = False
-        self._tables = (feat, pair)
+        compiled = []
+        for (stack, gamma), tab, c in zip(self.core.stacks(), tables, (self.c_feat, self.c_pair)):
+            compiled.append(stack.gates(gamma)[:, None, None] * tab - c[:, None, :])
+            compiled[-1].flags.writeable = False
+        self._tables = tuple(compiled)
         return self._tables
 
     def predict_linked(self, codes: np.ndarray) -> np.ndarray:
@@ -684,7 +682,7 @@ def finalize(core: ModelCore, codes_tr: np.ndarray, history: dict, val_loss: flo
     """
     tables = _ungated_tables(core)
     # One center per term of each stack; c_pair stays (0, out) without pairs.
-    centers = [np.zeros((0, core.out_dim))] * len(tables)
+    centers = [np.zeros((0, core.out_dim))] * 2
     for k, ((stack, gamma), tab) in enumerate(zip(core.stacks(), tables)):
         vals = tab[np.arange(tab.shape[0])[None, :], stack.cell_codes(core.feats, codes_tr)]
         centers[k] = stack.gates(gamma)[:, None] * vals.mean(axis=0)
@@ -698,7 +696,7 @@ def finalize(core: ModelCore, codes_tr: np.ndarray, history: dict, val_loss: flo
         history=history,
         val_loss=val_loss,
     )
-    split._compile(*tables)
+    split._compile(tables)
     return split
 
 
@@ -853,24 +851,23 @@ class EnsembleModel:
     def predict_codes(self, codes: np.ndarray) -> np.ndarray:
         """Mean over splits of g(beta0 + sum of centered contributions).
 
-        One gather reads every split's cells for a block of rows, features
-        and then pairs; the link applies per split before the average.
+        One gather reads every split's cells for a block of rows, stack by
+        stack, as does the sum; the link applies per split before the average.
         """
         flat, offsets, beta0 = self._stacked()
         core = self.splits[0].core
-        p = codes.shape[1]
+        stacks = core.stacks()
         n, out = codes.shape[0], beta0.shape[1]
         pred = np.empty((n, out))
         step = max(1, _GATHER_CELLS // (offsets.size * out))
         for s in range(0, n, step):
-            c = codes[s : s + step]
-            pc = flat_pair_codes(core, c)
-            if pc is not None:
-                c = np.concatenate([c, pc], axis=1)
-            vals = flat[offsets[:, None, :] + c]  # (K, rows, p + q, out)
-            eta = beta0[:, None, :] + np.einsum("kbto->kbo", vals[:, :, :p])
-            if pc is not None:
-                eta = eta + np.einsum("kbto->kbo", vals[:, :, p:])
+            blocks = [stack.cell_codes(core.feats, codes[s : s + step]) for stack, _ in stacks]
+            c = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+            vals = flat[offsets[:, None, :] + c]  # (K, rows, terms, out)
+            eta, lo = beta0[:, None, :], 0
+            for block in blocks:
+                eta = eta + np.einsum("kbto->kbo", vals[:, :, lo : lo + block.shape[1]])
+                lo += block.shape[1]
             pred[s : s + step] = _link(eta, core.link).mean(axis=0)
         if self.task == "survival":
             return pred
@@ -879,9 +876,9 @@ class EnsembleModel:
     def _stacked(self):
         """Every split's compiled tables as one (cells, out) table, built on first use.
 
-        Returns that table; `offsets`, (K, p + q), the first row of split
-        k's table for each feature and then each pair; and `beta0`,
-        (K, out). Every split reads pair codes as split 0's core makes
+        Returns that table; `offsets`, (K, terms), the first row of split
+        k's table for each term of each stack in turn; and `beta0`,
+        (K, out). Every split reads cell codes as split 0's core makes
         them. The result is kept in `_stacked_memo`, not a dataclass
         field, with the split tables it was built from, and built again
         when any of them is not the one a split now returns.
@@ -892,15 +889,15 @@ class EnsembleModel:
             a is b for a, b in zip(memo[0], tables)
         ):
             return memo[1]
-        feat = np.stack([t[0] for t in tables])  # (K, p, M, out)
-        pair = np.stack([t[1] for t in tables])  # (K, q, M*M, out)
-        K, p, M, out = feat.shape
-        q, MM = pair.shape[1:3]
-        flat = np.concatenate(
-            [feat.reshape(K, p * M, out), pair.reshape(K, q * MM, out)], axis=1
-        ).reshape(-1, out)
-        starts = np.concatenate([np.arange(p) * M, p * M + np.arange(q) * MM])
-        offsets = np.arange(K)[:, None] * (p * M + q * MM) + starts
+        parts, starts, width = [], [], 0
+        for tabs in zip(*tables):  # one stack's table in every split
+            tab = np.stack(tabs)
+            K, terms, cells, out = tab.shape
+            parts.append(tab.reshape(K, terms * cells, out))
+            starts.append(width + np.arange(terms) * cells)
+            width += terms * cells
+        flat = np.concatenate(parts, axis=1).reshape(-1, out)
+        offsets = np.arange(K)[:, None] * width + np.concatenate(starts)
         beta0 = np.stack([sp.beta0 for sp in self.splits])
         stacked = (flat, offsets, beta0)
         self._stacked_memo = (tables, stacked)
