@@ -9,7 +9,8 @@ import numpy as np
 
 from .core import forward_pass, sigmoid
 from .errors import ConfigError
-from .train import TrainConfig, _check_types, _pair_universe, _Phase, _prepare, _Split
+from .train import (_FIELD_TYPES, TrainConfig, _check_types, _is_int, _pair_universe, _Phase,
+                    _prepare, _Split)
 from .train import _train_mains
 
 __all__ = [
@@ -237,12 +238,13 @@ def regularization_path(
     score. The feats map keeps the first (smallest lambda) selection seen
     at each count; query it with lookup_feats.
     """
-    if not (0 < init_reg_param < np.inf):
-        raise ConfigError("init_reg_param must be positive and finite")
-    if not (1 < ladder_factor < np.inf):
-        raise ConfigError("ladder_factor must be above 1 and finite")
-    if max_steps < 1:
-        raise ConfigError("max_steps must be >= 1")
+    is_real = _FIELD_TYPES["float"][0]
+    if not (is_real(init_reg_param) and 0 < init_reg_param < np.inf):
+        raise ConfigError(f"init_reg_param must be positive and finite, got {init_reg_param!r}")
+    if not (is_real(ladder_factor) and 1 < ladder_factor < np.inf):
+        raise ConfigError(f"ladder_factor must be above 1 and finite, got {ladder_factor!r}")
+    if not (_is_int(max_steps) and max_steps >= 1):
+        raise ConfigError(f"max_steps must be an integer >= 1, got {max_steps!r}")
     sel = sel or SelectionConfig()
     run = _build_selection(table, y, cfg, sel, schema)
     records: list[PathRecord] = []

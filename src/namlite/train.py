@@ -904,6 +904,21 @@ class EnsembleModel:
         return stacked
 
 
+def _check_selection(selected_feats, selected_pairs) -> None:
+    """DataError for a feature or pair selection of the wrong shape, before any binning."""
+    if isinstance(selected_feats, str):
+        raise DataError(f"selected features must be a list of names, not the string "
+                        f"{selected_feats!r}")
+    if isinstance(selected_pairs, str):
+        raise DataError(f"selected pairs must be a list of name pairs, not the string "
+                        f"{selected_pairs!r}")
+    for pair in selected_pairs or []:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise DataError(f"selected pair {pair!r} must name two features")
+        if pair[0] == pair[1]:
+            raise DataError(f"selected pair {tuple(pair)!r} names feature {pair[0]!r} twice")
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -925,6 +940,7 @@ def fit(
     Each split trains on its own train/validation fold; predictions are
     averaged across splits after the link.
     """
+    _check_selection(selected_feats, selected_pairs)
     prep = _prepare(table, y, cfg, schema, selected_feats)
     names = prep.feature_names
     pair_idx: list[tuple[int, int]] = []

@@ -156,6 +156,37 @@ class TestRoundTrip:
             ]
 
 
+class TestExtents:
+    @pytest.fixture(scope="class")
+    def uneven(self):
+        """A pair whose two features have different bin counts."""
+        rng = np.random.default_rng(5)
+        n = 120
+        table = {"x": rng.normal(size=n), "c": rng.choice(["p", "q", "r"], size=n)}
+        cfg = TrainConfig(n_val_splits=2, max_epochs=1, embedding_dim=3, hidden_sizes=(4,),
+                          max_bins=5, seed=1)
+        return fit(table, table["x"], cfg, selected_pairs=[("x", "c")])
+
+    def test_each_term_has_its_own_extent(self, uneven):
+        core = uneven.splits[0].core
+        na, nb = (bm.n_bins + 1 for bm in uneven.bin_maps)
+        assert na != nb
+        assert core.feats.extents(core.feats) == [(na,), (nb,)]
+        assert core.pairs.extents(core.feats) == [(na, nb)]
+
+    def test_pair_embedding_with_swapped_axes_is_rejected(self, uneven):
+        doc = model_to_dict(uneven)
+        emb = doc["splits"][0]["core"]["pairs"]["emb"]
+        emb[0] = np.swapaxes(np.asarray(emb[0]), 0, 1).tolist()
+        with pytest.raises(DataError, match=r"pairs\.emb\[0\]"):
+            model_from_dict(doc)
+
+    def test_mains_only_split_has_one_table(self, mains_trained):
+        ens, _ = mains_trained
+        for sp in ens.splits + loads_model(dumps_model(ens)).splits:
+            assert len(sp.tables()) == 1
+
+
 class TestVersioning:
     def test_format_version_stamped(self, trained):
         ens, _ = trained

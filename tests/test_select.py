@@ -332,12 +332,11 @@ class TestRegularizationPath:
 
     def test_rejects_nonpositive_start(self):
         table, y = _linear_table(n=100)
-        with pytest.raises(ConfigError):
-            regularization_path(table, y, _cfg(), 0.0)
-        for start in (np.nan, np.inf):
+        for kw in ({"init_reg_param": 0.0}, {"init_reg_param": np.nan},
+                   {"init_reg_param": np.inf}, {"init_reg_param": "1e-3"},
+                   {"init_reg_param": None}, {"ladder_factor": 1.0}, {"ladder_factor": 0.5},
+                   {"ladder_factor": np.nan}, {"ladder_factor": np.inf}, {"ladder_factor": "3"},
+                   {"max_steps": 0}, {"max_steps": 2.5}, {"max_steps": np.nan},
+                   {"max_steps": True}):
             with pytest.raises(ConfigError):
-                regularization_path(table, y, _cfg(), start)
-        for kw in ({"ladder_factor": 1.0}, {"ladder_factor": 0.5}, {"ladder_factor": np.nan},
-                   {"ladder_factor": np.inf}, {"max_steps": 0}):
-            with pytest.raises(ConfigError):
-                regularization_path(table, y, _cfg(), 0.01, **kw)
+                regularization_path(table, y, _cfg(), **{"init_reg_param": 0.01, **kw})

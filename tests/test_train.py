@@ -318,6 +318,22 @@ class TestFit:
         with pytest.raises(DataError):
             fit(table, table["x1"], _fast_cfg(), selected_feats=["nope"])
 
+    @pytest.mark.parametrize("kw, named", [
+        ({"selected_feats": "ab"}, "'ab'"),
+        ({"selected_pairs": "ab"}, "'ab'"),
+        ({"selected_pairs": [("a",)]}, r"\('a',\)"),
+        ({"selected_pairs": [("a", "a")]}, "feature 'a' twice"),
+    ], ids=["feats-string", "pairs-string", "short-pair", "same-feature-pair"])
+    def test_selection_of_wrong_shape_raises_before_binning(self, monkeypatch, kw, named):
+        table = {"a": np.arange(20.0), "b": np.arange(20.0) % 3}
+
+        def no_binning(*args, **kwargs):
+            raise AssertionError("binned before the selection was checked")
+
+        monkeypatch.setattr(train, "fit_bins", no_binning)
+        with pytest.raises(DataError, match=named):
+            fit(table, table["a"], _fast_cfg(max_epochs=1), **kw)
+
     def test_explicit_pairs_are_attached_in_order(self):
         rng = np.random.default_rng(14)
         table = {c: rng.normal(size=150) for c in ("a", "b", "c")}
