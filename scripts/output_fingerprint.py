@@ -82,8 +82,7 @@ def _fits(probe: bool) -> dict:
     table, reg, cls, surv = _data(0, 400, 5)
     wide, wide_reg, _, _ = _data(1, 300, 22)
     runs = {
-        "mains_monotone_t1": (table, reg, _cfg(monotone={"x01": 1}, threads=1), None),
-        "mains_monotone_t2": (table, reg, _cfg(monotone={"x01": 1}, threads=2), None),
+        "mains_monotone_t1": (table, reg, _cfg(monotone={"x01": 1}), None),
         "cls_selected_pairs": (table, cls, _cfg(task="classification"),
                                [("x02", "x03"), ("x00", "x04")]),
         "cls_screened_2": (table, cls, _cfg(task="classification", num_pairs=2), None),

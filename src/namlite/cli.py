@@ -47,6 +47,8 @@ def _load_run(path) -> tuple[dict, TrainConfig, SelectionConfig]:
             text = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8 text ({e.reason})") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -172,14 +174,6 @@ def _test_metrics(model, feats: dict, y: np.ndarray) -> dict:
 
 def cmd_train(args) -> int:
     run, cfg, _ = _load_run(args.config)
-    env = os.environ.get("NAMLITE_THREADS")
-    if args.threads is not None:
-        cfg.threads = args.threads
-    elif env:
-        try:
-            cfg.threads = int(env)
-        except ValueError:
-            raise ConfigError(f"NAMLITE_THREADS must be an integer, got {env!r}") from None
     feats, y, label_cols = _training_inputs(run, cfg)
     pairs = [tuple(p) for p in run.get("pairs") or []] or None
     model = fit(
@@ -343,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="fit an ensemble from a JSON run config")
     t.add_argument("config")
-    t.add_argument("--threads", type=int, default=None)
     t.set_defaults(func=cmd_train)
 
     pr = sub.add_parser("predict", help="write predictions for a CSV")

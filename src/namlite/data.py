@@ -470,9 +470,16 @@ def split_folds(
 
 
 def read_csv(path) -> dict[str, list[str]]:
-    """Read an RFC-4180 CSV into an ordered column dict of raw strings."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    """Read an RFC-4180 CSV into an ordered column dict of raw strings.
+
+    The file is UTF-8; a leading byte-order mark is dropped, not read into
+    the first column's name.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
     if not rows:
         raise DataError(f"{path}: empty file")
     header = rows[0]

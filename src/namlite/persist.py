@@ -324,6 +324,8 @@ def load_model(path) -> EnsembleModel:
             return loads_model(fh.read())
     except OSError as e:
         raise DataError(f"cannot read model {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"model {path} is not UTF-8 text ({e.reason})") from None
 
 
 def model_hash(ens: EnsembleModel) -> str:

@@ -8,11 +8,12 @@ mean +/- 1.96 * SE.
 
 from __future__ import annotations
 
+import numbers
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "importance_bars",
@@ -140,6 +141,8 @@ def _label_step(n: int, most: int = 8) -> int:
 
 
 def importance_bars(report, top_n: int = 10, title: str | None = None) -> str:
+    if not isinstance(top_n, numbers.Integral) or isinstance(top_n, bool) or top_n < 1:
+        raise ConfigError(f"top_n must be an integer >= 1, got {top_n!r}")
     entries = report.entries[:top_n]
     if not entries:
         raise DataError("empty export: no importance entries to plot")

@@ -19,8 +19,6 @@ on `split(0)`, the same fold that `fit` trains first.
 from __future__ import annotations
 
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -121,6 +119,8 @@ class TrainConfig:
     censor_estimator: str = "km"
     n_eval_times: int | None = None
     pair_select_reg: float = 1e-3
+    # Ignored: splits train one after another. Kept so that run configs
+    # that still carry it load; `to_dict` leaves it out.
     threads: int | None = None
     seed: int = 0
 
@@ -154,7 +154,7 @@ class TrainConfig:
         return KernelConfig(phi=self.kernel_weight, size=self.kernel_size)
 
     def to_dict(self) -> dict:
-        """Every field in declaration order, except `threads`, which never changes results."""
+        """Every field in declaration order, except the ignored `threads`."""
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
         d["hidden_sizes"] = list(self.hidden_sizes)
         d["monotone"] = dict(self.monotone)
@@ -635,8 +635,7 @@ class SingleSplitModel:
     attribute that is not a dataclass field, so the persisted weights stay
     the only saved state. A split is never edited in place: an edit made
     after its tables are compiled is not seen by later calls, so a changed
-    split is built anew through the constructor. Concurrent first calls
-    only repeat identical work.
+    split is built anew through the constructor.
     """
 
     core: ModelCore
@@ -919,13 +918,6 @@ def _check_selection(selected_feats, selected_pairs) -> None:
             raise DataError(f"selected pair {tuple(pair)!r} names feature {pair[0]!r} twice")
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def fit(
     table,
     y,
@@ -937,8 +929,8 @@ def fit(
 ) -> EnsembleModel:
     """Fit the k-split ensemble: bins once, pairs screened on split 0.
 
-    Each split trains on its own train/validation fold; predictions are
-    averaged across splits after the link.
+    Splits train one after another, each on its own train/validation
+    fold; predictions are averaged across splits after the link.
     """
     _check_selection(selected_feats, selected_pairs)
     prep = _prepare(table, y, cfg, schema, selected_feats)
@@ -963,16 +955,11 @@ def fit(
         pair_idx = _select_pairs(split, core, rng, shuffle_rng)
         screened = (split, (core, mains))
 
-    def run_split(i: int) -> SingleSplitModel:
+    splits = []
+    for i in range(cfg.n_val_splits):
         split, trained = screened if i == 0 and screened else (prep.split(i), None)
-        return fit_single_split(split, pairs=pair_idx, trained=trained)
-
-    threads = cfg.threads or min(cfg.n_val_splits, _usable_cpus())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            splits = list(pool.map(run_split, range(cfg.n_val_splits)))
-    else:
-        splits = [run_split(i) for i in range(cfg.n_val_splits)]
+        splits.append(fit_single_split(split, pairs=pair_idx, trained=trained))
+        del split, trained  # free this fold's context before the next one is built
     pair_names = [(names[a], names[b]) for a, b in pair_idx]
     return EnsembleModel(
         task=cfg.task,

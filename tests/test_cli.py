@@ -178,6 +178,35 @@ class TestTrain:
         p.write_text(json.dumps(cfg))
         assert main(["train", str(p)]) == 3
 
+    def test_undecodable_data_is_data_error(self, tmp_path, reg_run, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"x1,x2,y\n1,2,3\n\xff,2,3\n")
+        cfg = json.loads(reg_run["cfg_path"].read_text())
+        cfg["train_csv"] = str(data)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["train", str(p)]) == 3
+        assert "latin1.csv: not UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_config_is_config_error(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"train_csv": "\xff"}')
+        assert main(["train", str(p)]) == 2
+
+    def test_bom_csv_with_leading_target_trains(self, tmp_path, reg_run):
+        rows = open(reg_run["train_csv"]).read().splitlines()
+        header = rows[0].split(",")
+        assert header[-1] == "y"
+        moved = [",".join([r.split(",")[-1]] + r.split(",")[:-1]) for r in rows]
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + "\n".join(moved).encode() + b"\n")
+        cfg = json.loads(reg_run["cfg_path"].read_text())
+        cfg.update(train_csv=str(data), output_dir=str(tmp_path / "o"))
+        del cfg["test_csv"]
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["train", str(p)]) == 0
+
     @pytest.mark.parametrize("command,bad", [
         ("train", {"hidden_sizes": 32}),
         ("train", {"max_bins": 4.5}),
@@ -252,30 +281,23 @@ class TestTrain:
         assert "training error" in capsys.readouterr().err
 
 
-class TestThreads:
-    def test_env_override_parses(self, reg_run, tmp_path, monkeypatch):
+class TestRetiredThreads:
+    def test_threads_flag_is_usage_error(self, reg_run):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", str(reg_run["cfg_path"]), "--threads", "2"])
+        assert exc.value.code == 2
+
+    def test_threads_key_in_run_config_is_ignored(self, reg_run, tmp_path):
         cfg = json.loads(reg_run["cfg_path"].read_text())
-        cfg["output_dir"] = str(tmp_path / "o")
+        cfg.update(output_dir=str(tmp_path / "o"), threads=4)
         p = tmp_path / "run.json"
         p.write_text(json.dumps(cfg))
-        monkeypatch.setenv("NAMLITE_THREADS", "2")
         assert main(["train", str(p)]) == 0
-
-    def test_bad_env_value_is_config_error(self, reg_run, tmp_path, monkeypatch):
-        cfg = json.loads(reg_run["cfg_path"].read_text())
-        cfg["output_dir"] = str(tmp_path / "o")
-        p = tmp_path / "run.json"
-        p.write_text(json.dumps(cfg))
-        monkeypatch.setenv("NAMLITE_THREADS", "many")
-        assert main(["train", str(p)]) == 2
-
-    def test_flag_beats_env(self, reg_run, tmp_path, monkeypatch):
-        cfg = json.loads(reg_run["cfg_path"].read_text())
-        cfg["output_dir"] = str(tmp_path / "o")
-        p = tmp_path / "run.json"
-        p.write_text(json.dumps(cfg))
-        monkeypatch.setenv("NAMLITE_THREADS", "many")
-        assert main(["train", str(p), "--threads", "1"]) == 0
+        hashes = [
+            json.loads((out / "metrics.json").read_text())["metadata"]["model_hash"]
+            for out in (reg_run["out"], tmp_path / "o")
+        ]
+        assert hashes[0] == hashes[1]
 
 
 # --- predict -------------------------------------------------------------------
@@ -325,6 +347,17 @@ class TestPredict:
 
     def test_missing_model_file_is_data_error(self, reg_run, tmp_path):
         assert main(["predict", str(tmp_path / "no.json"), reg_run["test_csv"]]) == 3
+
+    def test_undecodable_model_file_is_data_error(self, reg_run, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_bytes(b'{"format": "\xff"}')
+        assert main(["predict", str(bad), reg_run["test_csv"]]) == 3
+        assert "model.json is not UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_data_is_data_error(self, reg_run, tmp_path):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"x1,x2\n\xe9,2\n")
+        assert main(["predict", reg_run["model"], str(data)]) == 3
 
     @pytest.mark.parametrize("corrupt", ["no_splits", "nan_beta0", "no_config"])
     def test_corrupt_model_file_is_data_error(self, reg_run, tmp_path, corrupt):
@@ -425,6 +458,24 @@ class TestExplain:
 
     def test_importance_without_data_is_config_error(self, reg_run):
         assert main(["explain", reg_run["model"], "--importance"]) == 2
+
+    @pytest.mark.parametrize("top_n", ["0", "-1"])
+    def test_nonpositive_top_n_is_config_error(self, reg_run, tmp_path, top_n, capsys):
+        rc = main(["explain", reg_run["model"], "--data", reg_run["train_csv"],
+                   "--importance", "--top-n", top_n,
+                   "--out-dir", str(tmp_path), "--svg-dir", str(tmp_path / "svg")])
+        assert rc == 2
+        assert "top_n" in capsys.readouterr().err
+
+    def test_undecodable_inputs_are_data_errors(self, reg_run, tmp_path):
+        bad = tmp_path / "model.json"
+        bad.write_bytes(b'{"format": "\xff"}')
+        assert main(["explain", str(bad), "--shape", "x1", "--out-dir", str(tmp_path)]) == 3
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"x1,x2,y\n\xe9,2,3\n")
+        rc = main(["explain", reg_run["model"], "--data", str(data), "--importance",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 3
 
     def test_survival_shape_svg_per_grid_time(self, surv_run, tmp_path):
         out = tmp_path / "exp"

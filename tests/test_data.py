@@ -452,3 +452,14 @@ class TestReadCsv:
         path.write_text("")
         with pytest.raises(DataError):
             read_csv(path)
+
+    def test_leading_bom_is_dropped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbftarget,x\n1,2\n")
+        assert read_csv(path) == {"target": ["1"], "x": ["2"]}
+
+    def test_undecodable_bytes_raise_data_error_naming_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,b\n1,café\n".encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv: not UTF-8"):
+            read_csv(path)

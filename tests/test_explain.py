@@ -506,3 +506,12 @@ class TestRenderSvg:
         rep = ImportanceReport(mode="include", entries=[], metadata={})
         with pytest.raises(DataError):
             render_svg(rep, "importance-bars")
+
+    @pytest.mark.parametrize("top_n", [0, -1, 2.5, True, "3", None])
+    def test_top_n_must_be_positive_integer(self, top_n):
+        with pytest.raises(ConfigError, match="top_n"):
+            render_svg(_golden_report(), "importance-bars", top_n=top_n)
+
+    def test_top_n_keeps_leading_entries(self):
+        svg = render_svg(_golden_report(), "importance-bars", top_n=np.int64(2))
+        assert svg.count('class="bar"') == 2
