@@ -194,12 +194,11 @@ class TestTrain:
         assert main(["train", str(p)]) == 2
 
     def test_bom_csv_with_leading_target_trains(self, tmp_path, reg_run):
-        rows = open(reg_run["train_csv"]).read().splitlines()
-        header = rows[0].split(",")
-        assert header[-1] == "y"
-        moved = [",".join([r.split(",")[-1]] + r.split(",")[:-1]) for r in rows]
+        rows = [r.split(",") for r in (reg_run["root"] / "train.csv").read_text().splitlines()]
+        assert rows[0][-1] == "y"
+        body = "".join(",".join(r[-1:] + r[:-1]) + "\n" for r in rows)
         data = tmp_path / "bom.csv"
-        data.write_bytes(b"\xef\xbb\xbf" + "\n".join(moved).encode() + b"\n")
+        data.write_bytes(b"\xef\xbb\xbf" + body.encode())
         cfg = json.loads(reg_run["cfg_path"].read_text())
         cfg.update(train_csv=str(data), output_dir=str(tmp_path / "o"))
         del cfg["test_csv"]
