@@ -19,7 +19,7 @@ import numpy as np
 from . import explain as ex
 from .data import _first_bad_token, _parse_numeric, read_csv
 from .errors import ConfigError, DataError, TrainingError
-from .persist import load_model, model_hash, save_model
+from .persist import dumps_model, load_model, model_hash
 from .select import SelectionConfig, _rank_auc, regularization_path, select_features
 from .survival import SURVIVAL_DTYPE, censoring_curve
 from .train import TrainConfig, fit, loss_bce, loss_ipcw, loss_mse
@@ -69,6 +69,9 @@ def _load_run(path) -> tuple[dict, TrainConfig, SelectionConfig]:
             raise ConfigError(f"unknown config key {k!r}")
     if "train_csv" not in run:
         raise ConfigError("config requires 'train_csv'")
+    out = run.setdefault("output_dir", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"'output_dir' must be a path, got {out!r}")
     feats, pairs = run.get("features"), run.get("pairs")
     if feats is not None and not _is_names(feats):
         raise ConfigError(f"'features' must be a list of column names, got {feats!r}")
@@ -135,15 +138,21 @@ def _training_inputs(run: dict, cfg: TrainConfig):
     return _feature_table(table, set(label_cols)), y, label_cols
 
 
-def _out_dir(run: dict) -> str:
-    out = run.get("output_dir", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _out_dir(path: str) -> str:
+    """Create the output directory `path` if it is missing; ConfigError if that fails."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path}: {e}") from None
+    return path
 
 
 def _write(path: str, text: str) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
     print(f"wrote {path}")
     return path
 
@@ -179,10 +188,8 @@ def cmd_train(args) -> int:
     model = fit(
         feats, y, cfg, selected_feats=run.get("features"), selected_pairs=pairs
     )
-    out = _out_dir(run)
-    model_path = os.path.join(out, "model.json")
-    save_model(model, model_path)
-    print(f"wrote {model_path}")
+    out = _out_dir(run["output_dir"])
+    model_path = _write(os.path.join(out, "model.json"), dumps_model(model) + "\n")
     metrics = {"val_loss": float(np.mean([sp.val_loss for sp in model.splits]))}
     if run.get("test_csv"):
         ttable = _read_table(run["test_csv"])
@@ -237,7 +244,7 @@ def cmd_select(args) -> int:
             "config": cfg.to_dict(),
         },
     }
-    out = _out_dir(run)
+    out = _out_dir(run["output_dir"])
     _write(os.path.join(out, "selected.json"), json.dumps(payload, indent=2) + "\n")
     print(f"selected {len(res.selected_feats)} features, {len(res.selected_pairs)} pairs")
     return 0
@@ -255,7 +262,7 @@ def cmd_path(args) -> int:
         ladder_factor=args.ladder_factor,
         max_steps=args.max_steps,
     )
-    out = _out_dir(run)
+    out = _out_dir(run["output_dir"])
     lines = ["reg_param,num_feats,val_loss,val_score"]
     for r in res.records:
         lines.append(f"{r.reg_param!r},{r.num_feats},{r.val_loss!r},{r.val_score!r}")
@@ -270,9 +277,9 @@ def cmd_path(args) -> int:
 
 def cmd_explain(args) -> int:
     model = load_model(args.model)
-    os.makedirs(args.out_dir, exist_ok=True)
+    _out_dir(args.out_dir)
     if args.svg_dir:
-        os.makedirs(args.svg_dir, exist_ok=True)
+        _out_dir(args.svg_dir)
     if not (args.importance or args.shape or args.pair):
         raise ConfigError("nothing to do: pass --importance, --shape, or --pair")
     if args.importance:
@@ -313,12 +320,12 @@ def cmd_calibrate(args) -> int:
     exports = ex.calibration(
         model, table, labels, eval_times=args.eval_times, n_bins=args.bins
     )
-    os.makedirs(args.out_dir, exist_ok=True)
+    _out_dir(args.out_dir)
     _write(
         os.path.join(args.out_dir, "calibration.csv"), ex.calibration_to_csv(exports)
     )
     if args.svg_dir:
-        os.makedirs(args.svg_dir, exist_ok=True)
+        _out_dir(args.svg_dir)
         for i, exp in enumerate(exports):
             svg = ex.render_svg(exp, "calibration")
             _write(os.path.join(args.svg_dir, f"calibration_t{i}.svg"), svg)

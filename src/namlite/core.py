@@ -52,9 +52,6 @@ __all__ = [
     "smooth_step_grad",
     "kernel_weights",
     "smoothing_operator",
-    "smoothed_embedding",
-    "pair_smoothed_embedding",
-    "monotone_output",
     "flat_pair_codes",
     "bin_tables",
     "pair_bin_tables",
@@ -64,8 +61,6 @@ __all__ = [
     "flat_views",
     "param_dict",
     "param_span",
-    "copy_params",
-    "load_params",
     "sigmoid",
 ]
 
@@ -134,29 +129,6 @@ def smoothing_operator(n_bins: int, padded: int, cfg: KernelConfig) -> np.ndarra
     S = np.where(mask, half[np.minimum(dist, cfg.size)], 0.0)
     S[0, 0] = 1.0
     return S
-
-
-def smoothed_embedding(tables, j: int, i: int, cfg: KernelConfig) -> np.ndarray:
-    """Reference single-row smoothing; `tables[j]` is (n_bins_j+1, d)."""
-    emb = np.asarray(tables[j], dtype=np.float64)
-    n_bins = emb.shape[0] - 1
-    if not 0 <= i <= n_bins:
-        raise ConfigError(f"bin index {i} out of range for feature {j}")
-    S = smoothing_operator(n_bins, n_bins + 1, cfg)
-    return S[i] @ emb
-
-
-def pair_smoothed_embedding(pair_tables, pair, indices, cfg: KernelConfig) -> np.ndarray:
-    """Reference 2-D smoothing; `pair_tables[pair]` is (na+1, nb+1, d)."""
-    emb = np.asarray(pair_tables[pair], dtype=np.float64)
-    na, nb = emb.shape[0] - 1, emb.shape[1] - 1
-    ia, ib = indices
-    if not (0 <= ia <= na and 0 <= ib <= nb):
-        raise ConfigError(f"bin indices {indices} out of range for pair {pair}")
-    Sa = smoothing_operator(na, na + 1, cfg)
-    Sb = smoothing_operator(nb, nb + 1, cfg)
-    # Separable kernel: per-axis smoothing composes to the 2-D Gaussian.
-    return np.einsum("a,b,abd->d", Sa[ia], Sb[ib], emb)
 
 
 # --- parameter containers ----------------------------------------------------
@@ -365,18 +337,12 @@ class ModelCore:
         self.flat = _pack([stack for stack, _ in self.stacks()])
 
     def stacks(self) -> list[tuple[FeatureStack | PairStack, float]]:
-        """(stack, gate width) for each stack that holds parameters: features, then pairs if any."""
+        """(stack, gate width) for each stack that holds parameters: features, then pairs if any.
+
+        A stack's gates are `stack.gates(width)`."""
         if self.pairs is not None and self.pairs.n_pairs > 0:
             return [(self.feats, self.gamma), (self.pairs, self.pair_gamma)]
         return [(self.feats, self.gamma)]
-
-    def gates(self) -> np.ndarray:
-        return self.feats.gates(self.gamma)
-
-    def pair_gates(self) -> np.ndarray:
-        if self.pairs is None:
-            return np.zeros(0)
-        return self.pairs.gates(self.pair_gamma)
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -431,30 +397,8 @@ def bin_tables(core: ModelCore) -> np.ndarray:
 
 
 def pair_bin_tables(core: ModelCore) -> np.ndarray:
-    """Ungated per-cell outputs for every pair: (q, M*M, out)."""
-    if core.pairs is None or core.pairs.n_pairs == 0:
-        return np.zeros((0, 0, core.out_dim))
+    """Ungated per-cell outputs for every pair: (q, M*M, out); the core must have pairs."""
     return _stack_tables(core, core.pairs)[0]
-
-
-# --- reference single-sample ops ---------------------------------------------
-
-
-def monotone_output(raw: np.ndarray, direction: int, offset: float) -> np.ndarray:
-    """Cumulative-squares transform over bins 1..n; missing bin stays free.
-
-    raw[0] is the missing bin; it is excluded from the chain and emitted
-    as offset + raw[0].
-    """
-    if direction not in (-1, 1):
-        raise ConfigError(f"monotone direction must be -1 or +1, got {direction}")
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 1:
-        raise ConfigError("monotone transform applies to scalar-output shapes only")
-    out = np.empty_like(raw)
-    out[0] = offset + raw[0]
-    out[1:] = offset + direction * np.cumsum(raw[1:] ** 2)
-    return out
 
 
 def flat_pair_codes(core: ModelCore, codes: np.ndarray) -> np.ndarray | None:
@@ -731,12 +675,3 @@ def param_span(core: ModelCore, keys) -> tuple[slice, list[str]]:
             names.append(name)
         start += arr.size
     return slice(lo, hi), names
-
-
-def copy_params(core: ModelCore) -> np.ndarray:
-    """A snapshot of every learnable value: one copy of `core.flat`."""
-    return core.flat.copy()
-
-
-def load_params(core: ModelCore, snapshot: np.ndarray) -> None:
-    core.flat[...] = snapshot

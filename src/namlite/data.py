@@ -129,18 +129,6 @@ class BinnedMatrix:
     codes: np.ndarray  # (n_samples, n_features) int64
     bin_maps: tuple[BinMap, ...]
 
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return tuple(bm.feature for bm in self.bin_maps)
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.codes.shape[0])
-
-    @property
-    def total_bins(self) -> np.ndarray:
-        return np.array([bm.total_bins for bm in self.bin_maps], dtype=np.int64)
-
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"

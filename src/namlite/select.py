@@ -138,11 +138,12 @@ def _run_selection_step(run: _SelectionRun, reg: float, pair_reg: float):
 
 def _result_from(run: _SelectionRun) -> SelectionResult:
     names = run.feature_names
-    gate_values = dict(zip(names, map(float, run.core.gates())))
-    # The core's pairs are the universe it was built with, in order.
+    gates = [stack.gates(gamma) for stack, gamma in run.core.stacks()]
+    gate_values = dict(zip(names, map(float, gates[0])))
+    # The core's pair stack, the last, holds the universe it was built with,
+    # in order; without a universe there is no pair stack and nothing to zip.
     pair_gate_values = {
-        (names[a], names[b]): float(g)
-        for (a, b), g in zip(run.pair_universe, run.core.pair_gates())
+        (names[a], names[b]): float(g) for (a, b), g in zip(run.pair_universe, gates[-1])
     }
     selected = [name for name, g in gate_values.items() if g > 0]
     if not selected:

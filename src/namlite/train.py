@@ -30,12 +30,10 @@ from .core import (
     _link,
     backward_pass,
     bin_tables,
-    copy_params,
     flat_pair_codes,
     flat_views,
     forward_pass,
     init_core,
-    load_params,
     pair_bin_tables,
     param_dict,
     param_span,
@@ -362,12 +360,12 @@ def _reg_value(core: ModelCore, phase: _Phase) -> float:
 
 def _snapshot(core: ModelCore):
     active = [stack.active.copy() for stack, _ in core.stacks()]
-    return copy_params(core), active
+    return core.flat.copy(), active
 
 
 def _restore(core: ModelCore, snap) -> None:
     params, active = snap
-    load_params(core, params)
+    core.flat[...] = params
     for (stack, _), was in zip(core.stacks(), active):
         stack.active[...] = was
 
@@ -661,17 +659,6 @@ class SingleSplitModel:
         self._tables = tuple(compiled)
         return self._tables
 
-    def predict_linked(self, codes: np.ndarray) -> np.ndarray:
-        """Centered-route prediction g(beta0 + sum of centered contributions)."""
-        return _link(self.predict_eta(codes), self.core.link)
-
-    def predict_eta(self, codes: np.ndarray) -> np.ndarray:
-        eta = self.beta0
-        for (stack, _), tab in zip(self.core.stacks(), self.tables()):
-            cells = stack.cell_codes(self.core.feats, codes)
-            eta = eta + np.einsum("bto->bo", tab[np.arange(tab.shape[0]), cells])
-        return eta
-
 
 def finalize(core: ModelCore, codes_tr: np.ndarray, history: dict, val_loss: float) -> SingleSplitModel:
     """Compute centering constants and the post-hoc intercept; compile the tables.
@@ -755,10 +742,10 @@ def _train_pairs(split: _Split, core: ModelCore, pairs: list, rng, shuffle_rng) 
 
 
 def _main_importance(core: ModelCore, codes: np.ndarray) -> np.ndarray:
+    feats, gamma = core.stacks()[0]
     tabs = bin_tables(core)
-    p = core.feats.n_features
-    vals = tabs[np.arange(p)[None, :], codes]
-    contrib = vals * core.gates()[None, :, None]
+    vals = tabs[np.arange(feats.n_features)[None, :], codes]
+    contrib = vals * feats.gates(gamma)[None, :, None]
     return np.abs(contrib).mean(axis=(0, 2))
 
 
@@ -805,7 +792,8 @@ def _select_pairs(
         ),
         shuffle_rng,
     )
-    gates = core.pair_gates()
+    pair_stack, pair_gamma = core.stacks()[-1]
+    gates = pair_stack.gates(pair_gamma)
     open_ = [i for i in range(len(universe)) if gates[i] > 0]
     order = sorted(open_, key=lambda i: (-gates[i], universe[i]))
     chosen = sorted(universe[i] for i in order[: cfg.num_pairs])
@@ -834,11 +822,6 @@ class EnsembleModel:
     @property
     def feature_names(self) -> list[str]:
         return [bm.feature for bm in self.bin_maps]
-
-    @property
-    def pair_indices(self) -> list[tuple[int, int]]:
-        names = self.feature_names
-        return [(names.index(a), names.index(b)) for a, b in self.selected_pairs]
 
     def folds(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return split_folds(self.n_samples, self.config.n_val_splits, self.config.seed)

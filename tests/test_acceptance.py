@@ -12,10 +12,8 @@ from scipy.stats import rankdata
 from namlite import explain as ex
 from namlite.core import (
     KernelConfig,
-    backward_pass,
     flat_pair_codes,
     forward_pass,
-    param_dict,
     sigmoid,
     smooth_step,
     smoothing_operator,
@@ -27,6 +25,7 @@ from namlite.survival import as_survival_labels, censoring_curve, cox_fit, kapla
 from namlite.train import TrainConfig, fit, loss_ipcw
 
 from conftest import random_codes, tiny_core
+from oracles import fd_worst, predict_linked
 
 
 # --- shared oracles ----------------------------------------------------------
@@ -38,37 +37,6 @@ def _auc(y: np.ndarray, scores: np.ndarray) -> float:
     n_pos = int((y == 1).sum())
     n_neg = y.size - n_pos
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
-
-
-def _objective(core, codes, pair_codes, target, reg, preg):
-    cache = forward_pass(core, codes, pair_codes)
-    loss = 0.5 * np.sum((cache.eta - target) ** 2)
-    loss += reg * np.sum(core.gates())
-    loss += preg * np.sum(core.pair_gates())
-    return loss
-
-
-def _fd_worst(core, codes, target, reg, preg, h=1e-4):
-    """Max relative error of analytic gradients vs central differences."""
-    pair_codes = flat_pair_codes(core, codes)
-    cache = forward_pass(core, codes, pair_codes)
-    grads = backward_pass(core, cache, cache.eta - target, reg, preg)
-    worst = 0.0
-    for name, arr in param_dict(core).items():
-        flat = arr.reshape(-1)
-        fd = np.empty(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = _objective(core, codes, pair_codes, target, reg, preg)
-            flat[i] = orig - h
-            lo = _objective(core, codes, pair_codes, target, reg, preg)
-            flat[i] = orig
-            fd[i] = (hi - lo) / (2 * h)
-        a = grads[name].reshape(-1)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-3)
-        worst = max(worst, float(np.max(np.abs(a - fd) / denom)))
-    return worst
 
 
 def _km_brute(event: np.ndarray, times: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -130,7 +98,7 @@ def test_criterion_01_gradient_oracle():
             core.feats.mono_off[:] = rng.normal(size=p)
         codes = random_codes(rng, 8, core.feats.n_bins)
         target = rng.normal(size=(8, out))
-        worst = max(worst, _fd_worst(core, codes, target, reg=0.05, preg=0.02))
+        worst = max(worst, fd_worst(core, codes, target, reg=0.05, preg=0.02))
     assert worst < 1e-4
     assert time.monotonic() - t0 < 10.0
 
@@ -283,11 +251,11 @@ def test_criterion_07_centering_identity():
     for ens in models:
         codes = transform(table, ens.bin_maps).codes
         for sp in ens.splits:
-            gates = np.concatenate([sp.core.gates(), sp.core.pair_gates()])
+            gates = np.concatenate([stack.gates(g) for stack, g in sp.core.stacks()])
             assert np.all((gates == 0.0) | (gates == 1.0))
             eta = forward_pass(sp.core, codes, flat_pair_codes(sp.core, codes)).eta
             raw = sigmoid(eta) if sp.core.link == "sigmoid" else eta
-            assert np.max(np.abs(sp.predict_linked(codes) - raw)) < 1e-9
+            assert np.max(np.abs(predict_linked(sp, codes) - raw)) < 1e-9
 
 
 def test_criterion_08_survival_oracles():

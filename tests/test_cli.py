@@ -213,10 +213,12 @@ class TestTrain:
         ("train", {"pairs": [["x1"]]}),
         ("train", {"pairs": ["x1", "x2"]}),
         ("select", {"reg_param": "x"}),
+        ("train", {"output_dir": 5}),
+        ("select", {"output_dir": None}),
     ])
     def test_wrong_typed_value_is_config_error(self, tmp_path, reg_run, command, bad, capsys):
         cfg = json.loads(reg_run["cfg_path"].read_text())
-        cfg.update(bad, output_dir=str(tmp_path / "o"))
+        cfg.update({"output_dir": str(tmp_path / "o"), **bad})
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(cfg))
         assert main([command, str(p)]) == 2
@@ -297,6 +299,48 @@ class TestRetiredThreads:
             for out in (reg_run["out"], tmp_path / "o")
         ]
         assert hashes[0] == hashes[1]
+
+
+class TestOutputPaths:
+    """An output path that cannot be made or written is a config error naming it."""
+
+    @staticmethod
+    def _run_cfg(reg_run, tmp_path, out_dir):
+        cfg = json.loads(reg_run["cfg_path"].read_text())
+        cfg.update(output_dir=str(out_dir), max_epochs=1)
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(cfg))
+        return str(p)
+
+    @pytest.mark.parametrize("command", [
+        ["train"], ["select"], ["path", "--init-reg-param", "0.01", "--max-steps", "1"],
+    ], ids=["train", "select", "path"])
+    def test_output_dir_naming_a_file(self, reg_run, tmp_path, command, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main([command[0], self._run_cfg(reg_run, tmp_path, taken), *command[1:]])
+        assert rc == 2
+        assert f"cannot create output directory {taken}" in capsys.readouterr().err
+
+    def test_model_file_naming_a_directory(self, reg_run, tmp_path, capsys):
+        model_path = tmp_path / "out" / "model.json"
+        model_path.mkdir(parents=True)
+        assert main(["train", self._run_cfg(reg_run, tmp_path, tmp_path / "out")]) == 2
+        assert f"cannot write {model_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out-dir", "--svg-dir"])
+    def test_explain_dir_naming_a_file(self, reg_run, tmp_path, flag, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        # A repeated --out-dir takes its last value.
+        rc = main(["explain", reg_run["model"], "--shape", "x1",
+                   "--out-dir", str(tmp_path / "exp"), flag, str(taken)])
+        assert rc == 2
+        assert f"cannot create output directory {taken}" in capsys.readouterr().err
+
+    def test_predict_out_naming_a_directory(self, reg_run, tmp_path, capsys):
+        assert main(["predict", reg_run["model"], reg_run["train_csv"], "--out", str(tmp_path)]) == 2
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err
 
 
 # --- predict -------------------------------------------------------------------

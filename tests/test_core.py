@@ -9,22 +9,19 @@ from namlite.core import (
     KernelConfig,
     backward_pass,
     bin_tables,
-    flat_pair_codes,
     forward_pass,
     init_core,
     kernel_weights,
-    monotone_output,
-    pair_smoothed_embedding,
     param_dict,
     sigmoid,
     smooth_step,
     smooth_step_grad,
-    smoothed_embedding,
     smoothing_operator,
 )
 from namlite.errors import ConfigError, TrainingError
 
 from conftest import random_codes, tiny_core
+from oracles import fd_worst, monotone_output, pair_smoothed_embedding, smoothed_embedding
 
 GAMMAS = (0.01, 1.0, 100.0)
 
@@ -339,42 +336,12 @@ class TestModelForward:
 
     def test_gate_range_respected_by_gates(self, rng):
         core = tiny_core(rng)
-        g = core.gates()
-        assert np.all((g >= 0) & (g <= 1))
+        for stack, gamma in core.stacks():
+            g = stack.gates(gamma)
+            assert np.all((g >= 0) & (g <= 1))
 
 
 # --- backward (finite-difference oracle) ----------------------------------------
-
-
-def _objective(core, codes, pair_codes, target, reg, preg):
-    cache = forward_pass(core, codes, pair_codes)
-    loss = 0.5 * np.sum((cache.eta - target) ** 2)
-    loss += reg * np.sum(core.gates())
-    loss += preg * np.sum(core.pair_gates())
-    return loss
-
-
-def _fd_check(core, codes, target, reg=0.0, preg=0.0, h=1e-4):
-    """Max relative error between analytic and central-difference grads."""
-    pair_codes = flat_pair_codes(core, codes)
-    cache = forward_pass(core, codes, pair_codes)
-    grads = backward_pass(core, cache, cache.eta - target, reg, preg)
-    worst = 0.0
-    for name, arr in param_dict(core).items():
-        flat = arr.reshape(-1)
-        fd = np.empty(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = _objective(core, codes, pair_codes, target, reg, preg)
-            flat[i] = orig - h
-            lo = _objective(core, codes, pair_codes, target, reg, preg)
-            flat[i] = orig
-            fd[i] = (hi - lo) / (2 * h)
-        a = grads[name].reshape(-1)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-3)
-        worst = max(worst, float(np.max(np.abs(a - fd) / denom)))
-    return worst
 
 
 @pytest.mark.parametrize("out", [1, 3])
@@ -401,14 +368,14 @@ class TestBackward:
         core.feats.mono_off[:] = rng.normal(size=3)
         codes = random_codes(rng, 12, core.feats.n_bins)
         target = rng.normal(size=(12, 1))
-        assert _fd_check(core, codes, target, reg=0.07, preg=0.03) < 1e-4
+        assert fd_worst(core, codes, target, reg=0.07, preg=0.03) < 1e-4
 
     def test_gradients_match_fd_multi_output(self):
         rng = np.random.default_rng(43)
         core = tiny_core(rng, n_bins=(4, 4), out_dim=3, pairs=[(0, 1)])
         codes = random_codes(rng, 10, core.feats.n_bins)
         target = rng.normal(size=(10, 3))
-        assert _fd_check(core, codes, target, reg=0.01, preg=0.02) < 1e-4
+        assert fd_worst(core, codes, target, reg=0.01, preg=0.02) < 1e-4
 
     def test_gradients_match_fd_with_saturated_gates(self):
         # Open, closed and fixed-at-1 gates: the gate gradients are 0, and a
@@ -419,7 +386,7 @@ class TestBackward:
         core.pairs.mu[:] = [-core.pair_gamma, core.pair_gamma]
         codes = random_codes(rng, 12, core.feats.n_bins)
         target = rng.normal(size=(12, 1))
-        assert _fd_check(core, codes, target, reg=0.07, preg=0.03) < 1e-4
+        assert fd_worst(core, codes, target, reg=0.07, preg=0.03) < 1e-4
         cache = forward_pass(core, codes)
         grads = backward_pass(core, cache, cache.eta - target, 0.07, 0.03)
         np.testing.assert_array_equal(grads["feat_mu"], 0.0)

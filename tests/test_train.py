@@ -7,11 +7,9 @@ from namlite import train
 from namlite.core import (
     KernelConfig,
     backward_pass,
-    copy_params,
     flat_pair_codes,
     forward_pass,
     init_core,
-    load_params,
     param_dict,
     param_span,
 )
@@ -32,6 +30,7 @@ from namlite.train import (
 )
 
 from conftest import random_codes, tiny_core
+from oracles import predict_eta, predict_linked
 
 
 def _fast_cfg(**kw):
@@ -183,7 +182,7 @@ class TestSingleSplit:
         sp = fit_single_split(_toy_split(cfg, codes, y, 300, n_bins))
         hist = sp.history["mains"]
         best = min(h["val_loss"] for h in hist)
-        refit = loss_mse(sp.predict_linked(codes[300:])[:, 0], y[300:])
+        refit = loss_mse(predict_linked(sp, codes[300:])[:, 0], y[300:])
         np.testing.assert_allclose(refit, best, rtol=1e-9)
         np.testing.assert_allclose(sp.val_loss, best, rtol=1e-12)
 
@@ -194,7 +193,7 @@ class TestSingleSplit:
         y = (codes[:, 0] - codes[:, 1]).astype(float)
         cfg = _fast_cfg(max_epochs=6)
         sp = fit_single_split(_toy_split(cfg, codes, y, 200, n_bins), pairs=[(0, 1)])
-        centered = sp.predict_eta(codes)
+        centered = predict_eta(sp, codes)
         pc = flat_pair_codes(sp.core, codes)
         raw = forward_pass(sp.core, codes, pc).eta
         assert np.max(np.abs(centered - raw)) < 1e-9
@@ -231,7 +230,7 @@ class TestSingleSplit:
         codes = _toy_codes(rng, 60, n_bins)
         y = rng.normal(size=60)
         sp = fit_single_split(_toy_split(_fast_cfg(max_epochs=0), codes, y, 40, n_bins))
-        pred = sp.predict_linked(codes)
+        pred = predict_linked(sp, codes)
         assert np.ptp(pred) == 0.0
 
 
@@ -282,7 +281,7 @@ class TestFit:
         from namlite.data import transform
 
         codes = transform(table, ens.bin_maps).codes
-        by_hand = np.mean([sp.predict_linked(codes)[:, 0] for sp in ens.splits], axis=0)
+        by_hand = np.mean([predict_linked(sp, codes)[:, 0] for sp in ens.splits], axis=0)
         np.testing.assert_array_equal(predict(ens, table), by_hand)
 
     def test_folds_match_split_helper(self):
@@ -342,7 +341,7 @@ class TestFit:
             table, y, _fast_cfg(max_epochs=3),
             selected_pairs=[("c", "a")],
         )
-        assert ens.pair_indices == [(0, 2)]
+        assert ens.selected_pairs == [("a", "c")]
         for sp in ens.splits:
             assert sp.core.pairs.n_pairs == 1
 
@@ -461,7 +460,7 @@ class TestEnsemblePredict:
 
     @staticmethod
     def _per_split(ens, codes):
-        avg = np.mean([sp.predict_linked(codes) for sp in ens.splits], axis=0)
+        avg = np.mean([predict_linked(sp, codes) for sp in ens.splits], axis=0)
         return avg if ens.task == "survival" else avg[:, 0]
 
     @pytest.mark.parametrize("task", ["regression", "classification", "survival"])
@@ -630,16 +629,18 @@ def test_attached_pairs_share_the_core_buffer():
     np.testing.assert_array_equal(core.feats.emb, before["feat_emb"])
 
 
-def test_copy_then_load_params_round_trips_exactly():
+def test_snapshot_then_restore_round_trips_exactly():
     core = tiny_core(np.random.default_rng(8), pairs=[(0, 2)], mono_dir=np.array([0, 0, 1]))
     before = {k: v.copy() for k, v in param_dict(core).items()}
-    snap = copy_params(core)
+    snap = train._snapshot(core)
     core.feats.emb[...] = np.nan
     core.pairs.mu[...] *= 3.0
-    load_params(core, snap)
+    core.pairs.active[...] = False
+    train._restore(core, snap)
     for k, v in param_dict(core).items():
         np.testing.assert_array_equal(v, before[k], err_msg=k)
-    snap[...] = 0.0  # the snapshot is a copy, not a view
+    assert core.pairs.active.all()
+    snap[0][...] = 0.0  # the snapshot is a copy, not a view
     np.testing.assert_array_equal(core.feats.emb, before["feat_emb"])
 
 
