@@ -74,6 +74,39 @@ def _probe_table(p: int) -> dict:
     return table
 
 
+COLORS = ["red", "green", "blue", "teal", "NA", " ", None]
+SHAPES = ["round", "square", "oval"]
+
+
+def _cat_table(rng, n: int, colors: list, flags: list, shapes: list) -> dict:
+    """Two continuous columns plus a categorical list with missing cells and
+    tokens, a binary column of numeric strings and a string-array column."""
+    table = _table(rng, n, 2)
+    table["color"] = [colors[i] for i in rng.integers(len(colors), size=n)]
+    table["flag"] = [flags[i] for i in rng.integers(len(flags), size=n)]
+    table["shape"] = np.array(shapes)[rng.integers(len(shapes), size=n)]
+    return table
+
+
+def _cat_data(seed: int, n: int):
+    rng = np.random.default_rng(seed)
+    table = _cat_table(rng, n, COLORS, ["1", "2.0"], SHAPES)
+    effect = {"red": 1.0, "green": -0.5, "blue": 0.25, "teal": -1.0}
+    signal = (np.sin(2 * table["x00"]) + [effect.get(c, 0.0) for c in table["color"]]
+              + 0.5 * (np.array(table["flag"]) == "1") + 0.3 * (table["shape"] == "oval"))
+    return table, signal + 0.1 * rng.normal(size=n)
+
+
+def _cat_probe_table() -> dict:
+    """Fixed rows with unseen categories beside the seen ones, row 0 all missing."""
+    table = _cat_table(np.random.default_rng(2025), 32, COLORS + ["purple", "Red"],
+                       ["1", "2.0", "3", "1.0"], SHAPES + ["hexagon"])
+    table["x00"][0] = table["x01"][0] = np.nan
+    table["color"][0], table["flag"][0] = None, "NA"
+    table["shape"][0] = ""
+    return table
+
+
 def _cfg(**kw) -> nl.TrainConfig:
     return nl.TrainConfig(**{**BASE, **kw})
 
@@ -81,6 +114,7 @@ def _cfg(**kw) -> nl.TrainConfig:
 def _fits(probe: bool) -> dict:
     table, reg, cls, surv = _data(0, 400, 5)
     wide, wide_reg, _, _ = _data(1, 300, 22)
+    cats, cats_reg = _cat_data(3, 400)
     runs = {
         "mains_monotone_t1": (table, reg, _cfg(monotone={"x01": 1}), None),
         "cls_selected_pairs": (table, cls, _cfg(task="classification"),
@@ -91,13 +125,15 @@ def _fits(probe: bool) -> dict:
                                                n_eval_times=5), None),
         "surv_screened_cox": (table, surv, _cfg(task="survival", num_pairs=1, n_eval_times=5,
                                                 censor_estimator="cox"), None),
+        "reg_categorical": (cats, cats_reg, _cfg(), [("color", "shape")]),
     }
     out = {}
     for name, (tab, y, cfg, pairs) in runs.items():
         ens = nl.fit(tab, y, cfg, selected_pairs=pairs)
         pairs_out = [list(p) for p in ens.selected_pairs]
         if probe:
-            preds = ens.predict(_probe_table(len(tab)))
+            rows = _cat_probe_table() if tab is cats else _probe_table(len(tab))
+            preds = ens.predict(rows)
             out[name] = {"predictions": preds.tolist(), "selected_feats": ens.feature_names,
                          "selected_pairs": pairs_out}
         else:
