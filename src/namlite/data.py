@@ -240,6 +240,48 @@ def _category_keys(values: list, numeric: np.ndarray | None) -> list:
     return keys
 
 
+# Columns shorter than this are keyed row by row. Below about 20 rows that
+# is faster than the distinct pass, whose fixed cost is a few microseconds
+# per column; a one-row predict pays it on every call.
+_DISTINCT_MIN_ROWS = 16
+
+
+def _category_codes(values) -> tuple[list, np.ndarray | None]:
+    """Canonical keys of a column's distinct values, and each row's index into them.
+
+    A float, int, bool or string ndarray is made distinct by ``np.unique``,
+    floats by bit pattern, so -0.0 and 0.0 keep their two keys. A list
+    whose distinct values are all ``str`` or None is made distinct by one
+    dict. Only the distinct values are parsed and keyed, which gives the
+    same keys, since a column is numeric iff all of them parse. Any other
+    column, and a short one, is keyed row by row and comes back with no
+    index: in a mixed list 1, 1.0 and True are one dict key but three
+    categories.
+    """
+    uniq, inv = values, None
+    if len(values) < _DISTINCT_MIN_ROWS:
+        pass
+    elif isinstance(values, list):
+        try:
+            index = dict.fromkeys(values)
+        except TypeError:  # an unhashable cell
+            index = {}
+        if index and all(type(v) is str or v is None for v in index):
+            for i, v in enumerate(index):
+                index[v] = i
+            uniq = list(index)
+            inv = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+    elif isinstance(values, np.ndarray) and values.ndim == 1:
+        if values.dtype.kind == "U":
+            uniq, inv = np.unique(values, return_inverse=True)
+            uniq = uniq.tolist()
+        elif values.dtype.kind in "fiub":
+            bits = values.astype(np.float64, copy=False).view(np.uint64)
+            uniq, inv = np.unique(bits, return_inverse=True)
+            uniq = uniq.view(np.float64)
+    return _category_keys(uniq, _parse_numeric(uniq)), inv
+
+
 # --- schema -----------------------------------------------------------------
 
 
@@ -260,10 +302,10 @@ def infer_schema(table) -> list[FeatureSchema]:
             distinct = np.unique(nonmiss).size
             kind = "binary" if distinct == 2 else "continuous"
         else:
-            keys = [k for k in _category_keys(vals, None) if k is not None]
+            keys = set(_category_codes(vals)[0]) - {None}
             if not keys:
                 raise DataError(f"column {name!r} has no non-missing values")
-            kind = "binary" if len(set(keys)) == 2 else "categorical"
+            kind = "binary" if len(keys) == 2 else "categorical"
         schema.append(FeatureSchema(name, kind))
     return schema
 
@@ -355,10 +397,9 @@ def fit_bins(
             edges = _continuous_edges(x, max_bins, min_samples_per_bin)
             maps.append(BinMap(fs.name, fs.kind, edges=edges))
         elif fs.kind in ("categorical", "binary"):
-            keys = [k for k in _category_keys(vals, _parse_numeric(vals)) if k is not None]
-            if not keys:
+            cats = tuple(sorted(set(_category_codes(vals)[0]) - {None}))
+            if not cats:
                 raise DataError(f"column {fs.name!r} has no non-missing values")
-            cats = tuple(sorted(set(keys)))
             if fs.kind == "binary" and len(cats) != 2:
                 raise DataError(
                     f"column {fs.name!r} declared binary but has {len(cats)} "
@@ -376,7 +417,9 @@ def transform(table, bin_maps: list[BinMap]) -> BinnedMatrix:
     Missing values map to 0. Categories unseen during fitting also map to
     0; they carry no information the model was trained on. The continuous
     columns are parsed into one (k, n) float block and checked together;
-    a bad table raises for its first offending column in map order.
+    a bad table raises for its first offending column in map order. A
+    categorical column is keyed once per distinct value, and its codes
+    are gathered from those keys' bins by each row's index.
     """
     cols = dict(table_items(table))
     n = len(next(iter(cols.values()))) if cols else 0
@@ -418,10 +461,10 @@ def transform(table, bin_maps: list[BinMap]) -> BinnedMatrix:
     codes[:, cont] = idx.T
     for j, bm in enumerate(bin_maps):
         if bm.kind != "continuous":
-            vals = cols[bm.feature]
-            keys = _category_keys(vals, _parse_numeric(vals))
+            keys, inv = _category_codes(cols[bm.feature])
             lookup = bm.category_bins
-            codes[:, j] = [0 if k is None else lookup.get(k, 0) for k in keys]
+            bins = [0 if k is None else lookup.get(k, 0) for k in keys]
+            codes[:, j] = bins if inv is None else np.array(bins)[inv]
     return BinnedMatrix(codes=codes, bin_maps=tuple(bin_maps))
 
 

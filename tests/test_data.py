@@ -266,6 +266,77 @@ def _transform_per_column(table, bin_maps):
     return BinnedMatrix(codes=codes, bin_maps=tuple(bin_maps))
 
 
+def _kind_per_row(vals) -> str:
+    """Oracle: infer_schema's kind for one column, keyed row by row."""
+    vals = list(vals)
+    numeric = _parse_numeric(vals)
+    if numeric is not None:
+        nonmiss = numeric[~np.isnan(numeric)]
+        if nonmiss.size == 0:
+            raise DataError("no non-missing values")
+        return "binary" if np.unique(nonmiss).size == 2 else "continuous"
+    keys = {k for k in _category_keys(vals, None) if k is not None}
+    if not keys:
+        raise DataError("no non-missing values")
+    return "binary" if len(keys) == 2 else "categorical"
+
+
+def _categories_per_row(vals) -> tuple:
+    """Oracle: fit_bins' categories for one column, keyed row by row."""
+    vals = list(vals)
+    keys = {k for k in _category_keys(vals, _parse_numeric(vals)) if k is not None}
+    if not keys:
+        raise DataError("no non-missing values")
+    return tuple(sorted(keys))
+
+
+def _outcome(fn, *args):
+    """What fn returns, or its DataError's text."""
+    try:
+        return fn(*args)
+    except DataError as e:
+        return f"DataError: {e}"
+
+
+def _check_against_row_keys(vals) -> None:
+    """infer_schema's kind and fit_bins' categories match the row-keyed oracles."""
+    kind = _outcome(lambda: infer_schema({"v": vals})[0].kind)
+    want = _outcome(_kind_per_row, vals)
+    assert kind.startswith("DataError") if want.startswith("DataError") else kind == want
+    cats = _outcome(lambda: fit_bins({"v": vals}, [FeatureSchema("v", "categorical")])[0]
+                    .categories)
+    want = _outcome(_categories_per_row, vals)
+    assert cats.startswith("DataError") if isinstance(want, str) else cats == want
+
+
+_CELLS = st.one_of(
+    st.sampled_from([1, 1.0, True, False, 0, 0.0, -0.0, "1", "1.0", " 1 ", "-0", "x", "NA",
+                     "", " ", None, float("nan"), float("inf"), [1]]),
+    st.text(alphabet="ab01. ", max_size=3),
+    st.integers(-2, 2),
+    st.floats(-2, 2, width=16),
+)
+_COLUMNS = st.one_of(
+    st.lists(_CELLS, max_size=40),
+    st.lists(st.one_of(st.none(), st.sampled_from(["a", " a", "0", "-0", "0.0", "1", "NA"]),
+                       st.text(alphabet="ab01. ", max_size=3)), max_size=40),
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, float("nan")]), max_size=40).map(np.array),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_COLUMNS)
+def test_distinct_keys_match_row_keys(vals):
+    """Random mixed-type columns, as drawn and repeated to 16 rows or more: codes,
+    kinds and categories match the row-keyed oracles."""
+    maps = [BinMap("v", "categorical", categories=("-0.0", "0.0", "1", "1.0", "True", "a"))]
+    reps = -(-16 // max(len(vals), 1))
+    for col in (vals, np.tile(vals, reps) if isinstance(vals, np.ndarray) else vals * reps):
+        got = _outcome(lambda: transform({"v": col}, maps).codes.tolist())
+        assert got == _outcome(lambda: _transform_per_column({"v": col}, maps).codes.tolist())
+        _check_against_row_keys(col)
+
+
 def _error_text(fn, *args) -> str:
     with pytest.raises(DataError) as info:
         fn(*args)
@@ -282,7 +353,12 @@ class TestTransformOracle:
         BinMap("grade", "categorical", categories=("1.0", "2.0", "3.5")),
         BinMap("flag", "binary", categories=("no", "yes")),
         BinMap("c", "continuous", edges=(0.0, 1.0, 2.0, 3.0, 4.0)),
+        BinMap("kind", "categorical", categories=("-0.0", "0.0", "1", "1.0", "True", "x")),
     ]
+
+    # Cells of one non-numeric list: 1, 1.0 and True are one dict key but
+    # three categories, and [1] cannot be a dict key at all.
+    MIXED = (1, 1.0, True, "1", "x", " x ", -0.0, 0.0, float("nan"), None, "NA", " ", [1])
 
     def _tables(self, n: int, seed: int) -> list[dict]:
         """One table in several column representations, missing values included."""
@@ -298,20 +374,29 @@ class TestTransformOracle:
         grade = rng.choice([1.0, 2.0, 3.5, 4.0, np.nan], n)
         flag = rng.choice(["yes", "no", "null"], n).tolist()
         color_none = [None if i % 4 == 0 else v for i, v in enumerate(color)]
+        mixed = [self.MIXED[i] for i in rng.integers(len(self.MIXED), size=n)]
+        mixed_obj = np.empty(n, dtype=object)
+        for i, v in enumerate(mixed):
+            mixed_obj[i] = v
+        zeros = rng.choice([0.0, -0.0, 1.0, np.nan], n)
+        zero_tok = rng.choice(["0", "-0", " -0.0 ", "1", "1.0", "NA", " ", "nan"], n).tolist()
         return [
             {"a": a.tolist(), "color": color, "b": b_tok, "grade": grade.tolist(),
-             "flag": flag, "c": c.tolist()},
+             "flag": flag, "c": c.tolist(), "kind": mixed},
             {"a": a, "color": np.array(color), "b": np.array(b_tok), "grade": grade,
-             "flag": np.array(flag), "c": c},
+             "flag": np.array(flag), "c": c, "kind": zeros},
             {"a": np.array(a, dtype=object), "color": np.array(color_none, dtype=object),
              "b": np.array(b_tok, dtype=object), "grade": np.array(grade, dtype=object),
-             "flag": np.array(flag, dtype=object), "c": c.astype(np.int64)},
+             "flag": np.array(flag, dtype=object), "c": c.astype(np.int64), "kind": mixed_obj},
             {"a": [None if math.isnan(v) else v for v in a], "color": color_none,
              "b": b.astype(np.float32), "grade": [str(v) for v in grade],
-             "flag": tuple(flag), "c": [int(v) for v in c]},
+             "flag": tuple(flag), "c": [int(v) for v in c], "kind": zeros.tolist()},
+            {"a": a, "color": color_none, "b": b_tok, "grade": grade.astype(np.float32),
+             "flag": (np.array(flag) == "yes").tolist(), "c": c.astype(np.int32),
+             "kind": zero_tok},
         ]
 
-    @pytest.mark.parametrize("n", [0, 1, 7, 500])
+    @pytest.mark.parametrize("n", [0, 1, 7, 15, 16, 500])
     def test_codes_match_oracle(self, n):
         for seed in range(3):
             for table in self._tables(n, seed):
@@ -329,15 +414,37 @@ class TestTransformOracle:
             row = {k: v[i : i + 1] for k, v in table.items()}
             np.testing.assert_array_equal(transform(row, self.MAPS).codes[0], batch[i])
 
-    def test_numeric_categories_and_unseen(self):
+    @pytest.mark.parametrize("kind, want", [
+        ([1, 1.0, True, "1"], [4, 4, 4, 4]),
+        ([1, 1.0, True, "x"], [3, 4, 5, 6]),
+        (np.array([0.0, -0.0, np.nan, 1.0]), [2, 1, 0, 4]),
+        ([-0.0, 0.0, float("nan"), None], [1, 2, 0, 0]),
+        (["-0", " 0 ", "NA", "1"], [1, 2, 0, 4]),
+        ([[1], " x ", " ", "None"], [0, 6, 0, 0]),
+    ])
+    @pytest.mark.parametrize("repeat", [1, 5])
+    def test_numeric_categories_and_unseen(self, kind, want, repeat):
+        """Expected codes, at four rows and at twenty (past the distinct-pass minimum)."""
         table = {"a": [0.1] * 4, "color": ["red", "pink", None, "blue"], "b": [1.0] * 4,
                  "grade": [2, 3.5, 4, None], "flag": ["yes", "maybe", "no", "NA"],
-                 "c": [1.0] * 4}
+                 "c": [1.0] * 4, "kind": kind}
+        table = {k: v * repeat if isinstance(v, list) else np.tile(v, repeat)
+                 for k, v in table.items()}
         codes = transform(table, self.MAPS).codes
-        np.testing.assert_array_equal(codes[:, 1], [3, 0, 0, 1])
-        np.testing.assert_array_equal(codes[:, 3], [2, 3, 0, 0])
-        np.testing.assert_array_equal(codes[:, 4], [2, 0, 1, 0])
+        np.testing.assert_array_equal(codes[:, 1], [3, 0, 0, 1] * repeat)
+        np.testing.assert_array_equal(codes[:, 3], [2, 3, 0, 0] * repeat)
+        np.testing.assert_array_equal(codes[:, 4], [2, 0, 1, 0] * repeat)
+        np.testing.assert_array_equal(codes[:, 6], want * repeat)
         np.testing.assert_array_equal(codes, _transform_per_column(table, self.MAPS).codes)
+
+    @pytest.mark.parametrize("n", [1, 7, 16, 500])
+    def test_kinds_and_categories_match_row_keys(self, n):
+        """infer_schema and fit_bins agree with keys made row by row."""
+        for seed in range(3):
+            for table in self._tables(n, seed):
+                for name, vals in table.items():
+                    if name not in ("a", "b", "c"):
+                        _check_against_row_keys(vals)
 
     def test_input_columns_are_not_changed(self):
         table = self._tables(30, 1)[1]
@@ -363,7 +470,7 @@ class TestTransformOracle:
         """The first offending column in map order is the one named."""
         table = {"a": [0.0, 1.0, None], "color": ["red"] * 3, "b": [11.0, 9.0, 10.0],
                  "grade": [1.0, 2.0, 3.5], "flag": ["yes", "no", "yes"],
-                 "c": [0.0, 1.5, 4.5]}
+                 "c": [0.0, 1.5, 4.5], "kind": ["x", 1, None]}
         for k, v in edit.items():
             if v is None:
                 del table[k]
