@@ -69,9 +69,10 @@ def _load_run(path) -> tuple[dict, TrainConfig, SelectionConfig]:
             raise ConfigError(f"unknown config key {k!r}")
     if "train_csv" not in run:
         raise ConfigError("config requires 'train_csv'")
-    out = run.setdefault("output_dir", ".")
-    if not isinstance(out, str):
-        raise ConfigError(f"'output_dir' must be a path, got {out!r}")
+    run.setdefault("output_dir", ".")
+    for key in ("train_csv", "test_csv", "target", "time_col", "event_col", "output_dir"):
+        if key in run and not isinstance(run[key], str):
+            raise ConfigError(f"{key!r} must be a string, got {run[key]!r}")
     feats, pairs = run.get("features"), run.get("pairs")
     if feats is not None and not _is_names(feats):
         raise ConfigError(f"'features' must be a list of column names, got {feats!r}")
@@ -276,15 +277,15 @@ def cmd_path(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    if not (args.importance or args.shape or args.pair):
+        raise ConfigError("nothing to do: pass --importance, --shape, or --pair")
+    if args.importance and not args.data:
+        raise ConfigError("--importance requires --data (the training CSV)")
     model = load_model(args.model)
     _out_dir(args.out_dir)
     if args.svg_dir:
         _out_dir(args.svg_dir)
-    if not (args.importance or args.shape or args.pair):
-        raise ConfigError("nothing to do: pass --importance, --shape, or --pair")
     if args.importance:
-        if not args.data:
-            raise ConfigError("--importance requires --data (the training CSV)")
         table = _read_table(args.data)
         rep = ex.feature_importance(model, table, mode=args.mode, pooled=args.pooled)
         _write(os.path.join(args.out_dir, "importance.csv"), ex.importance_to_csv(rep))

@@ -215,14 +215,25 @@ class TestTrain:
         ("select", {"reg_param": "x"}),
         ("train", {"output_dir": 5}),
         ("select", {"output_dir": None}),
+        ("train", {"train_csv": ["a.csv"]}),
+        ("train", {"train_csv": 12345}),
+        ("path", {"train_csv": 0}),
+        ("train", {"test_csv": ["b.csv"]}),
+        ("train", {"target": ["y"]}),
+        ("select", {"target": 1}),
+        ("train", {"time_col": ["time"]}),
+        ("train", {"event_col": None}),
     ])
     def test_wrong_typed_value_is_config_error(self, tmp_path, reg_run, command, bad, capsys):
         cfg = json.loads(reg_run["cfg_path"].read_text())
         cfg.update({"output_dir": str(tmp_path / "o"), **bad})
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(cfg))
-        assert main([command, str(p)]) == 2
-        assert next(iter(bad)) in capsys.readouterr().err
+        args = [command, str(p)] + (["--init-reg-param", "0.01"] if command == "path" else [])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert next(iter(bad)) in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_json_is_config_error(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -501,6 +512,15 @@ class TestExplain:
 
     def test_importance_without_data_is_config_error(self, reg_run):
         assert main(["explain", reg_run["model"], "--importance"]) == 2
+
+    @pytest.mark.parametrize("action", [[], ["--importance"]], ids=["none", "no_data"])
+    def test_refusal_creates_no_directory(self, reg_run, tmp_path, action, capsys):
+        out, svg = tmp_path / "exp", tmp_path / "svg"
+        rc = main(["explain", reg_run["model"], *action,
+                   "--out-dir", str(out), "--svg-dir", str(svg)])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists() and not svg.exists()
 
     @pytest.mark.parametrize("top_n", ["0", "-1"])
     def test_nonpositive_top_n_is_config_error(self, reg_run, tmp_path, top_n, capsys):
