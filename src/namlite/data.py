@@ -167,13 +167,14 @@ def _parse_numeric(values) -> np.ndarray | None:
     """Parse a column to float64 with NaN for missing, or None if non-numeric.
 
     A float64 ndarray column is returned as it is, so callers only read
-    the result.
+    the result. Cells that are sequences, such as lists of equal length,
+    do not parse.
     """
     try:
         arr = np.asarray(values)
     except Exception:
         arr = np.asarray(values, dtype=object)
-    if arr.dtype.kind in "fiub":
+    if arr.dtype.kind in "fiub" and arr.ndim == 1:
         return arr.astype(np.float64, copy=False)
     out = np.empty(len(values), dtype=np.float64)
     for i, v in enumerate(values):

@@ -421,6 +421,7 @@ class TestTransformOracle:
         ([-0.0, 0.0, float("nan"), None], [1, 2, 0, 0]),
         (["-0", " 0 ", "NA", "1"], [1, 2, 0, 4]),
         ([[1], " x ", " ", "None"], [0, 6, 0, 0]),
+        ([[1], [1.0], [2], [1]], [0, 0, 0, 0]),
     ])
     @pytest.mark.parametrize("repeat", [1, 5])
     def test_numeric_categories_and_unseen(self, kind, want, repeat):
@@ -465,6 +466,7 @@ class TestTransformOracle:
         ({"b": None}, "b"),
         ({"grade": None, "c": [np.inf, 1.0, 1.0]}, "grade"),
         ({"c": None, "b": [np.inf, 1.0, 1.0]}, "b"),
+        ({"b": [[1.0], [2.0], [1.0]]}, "b"),
     ])
     def test_errors_match_oracle(self, edit, column):
         """The first offending column in map order is the one named."""
