@@ -414,6 +414,17 @@ class TestTransformOracle:
             row = {k: v[i : i + 1] for k, v in table.items()}
             np.testing.assert_array_equal(transform(row, self.MAPS).codes[0], batch[i])
 
+    def test_numeric_categories_and_unseen(self):
+        maps = self.MAPS[:6]
+        table = {"a": [0.1] * 4, "color": ["red", "pink", None, "blue"], "b": [1.0] * 4,
+                 "grade": [2, 3.5, 4, None], "flag": ["yes", "maybe", "no", "NA"],
+                 "c": [1.0] * 4}
+        codes = transform(table, maps).codes
+        np.testing.assert_array_equal(codes[:, 1], [3, 0, 0, 1])
+        np.testing.assert_array_equal(codes[:, 3], [2, 3, 0, 0])
+        np.testing.assert_array_equal(codes[:, 4], [2, 0, 1, 0])
+        np.testing.assert_array_equal(codes, _transform_per_column(table, maps).codes)
+
     @pytest.mark.parametrize("kind, want", [
         ([1, 1.0, True, "1"], [4, 4, 4, 4]),
         ([1, 1.0, True, "x"], [3, 4, 5, 6]),
@@ -424,7 +435,7 @@ class TestTransformOracle:
         ([[1], [1.0], [2], [1]], [0, 0, 0, 0]),
     ])
     @pytest.mark.parametrize("repeat", [1, 5])
-    def test_numeric_categories_and_unseen(self, kind, want, repeat):
+    def test_mixed_categories_and_unseen(self, kind, want, repeat):
         """Expected codes, at four rows and at twenty (past the distinct-pass minimum)."""
         table = {"a": [0.1] * 4, "color": ["red", "pink", None, "blue"], "b": [1.0] * 4,
                  "grade": [2, 3.5, 4, None], "flag": ["yes", "maybe", "no", "NA"],
