@@ -70,8 +70,10 @@ def _load_run(path) -> tuple[dict, TrainConfig, SelectionConfig]:
     if "train_csv" not in run:
         raise ConfigError("config requires 'train_csv'")
     run.setdefault("output_dir", ".")
-    for key in ("train_csv", "test_csv", "target", "time_col", "event_col", "output_dir"):
-        if key in run and not isinstance(run[key], str):
+    for key in ("train_csv", "output_dir", "test_csv", "target", "time_col", "event_col"):
+        if run.get(key) is None and key not in ("train_csv", "output_dir"):
+            run.pop(key, None)  # an optional key given as null reads as not given
+        elif not isinstance(run[key], str):
             raise ConfigError(f"{key!r} must be a string, got {run[key]!r}")
     feats, pairs = run.get("features"), run.get("pairs")
     if feats is not None and not _is_names(feats):

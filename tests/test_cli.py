@@ -222,7 +222,7 @@ class TestTrain:
         ("train", {"target": ["y"]}),
         ("select", {"target": 1}),
         ("train", {"time_col": ["time"]}),
-        ("train", {"event_col": None}),
+        ("train", {"event_col": 3}),
     ])
     def test_wrong_typed_value_is_config_error(self, tmp_path, reg_run, command, bad, capsys):
         cfg = json.loads(reg_run["cfg_path"].read_text())
@@ -234,6 +234,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert next(iter(bad)) in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_null_optional_keys_read_as_absent(self, tmp_path, reg_run):
+        cfg = json.loads(reg_run["cfg_path"].read_text())
+        cfg.update(output_dir=str(tmp_path / "o"), test_csv=None, time_col=None, event_col=None)
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["train", str(p)]) == 0
+        report = json.loads((tmp_path / "o" / "metrics.json").read_text())
+        assert list(report["metrics"]) == ["val_loss"]
+
+    def test_null_label_columns_read_as_defaults(self, tmp_path, surv_run):
+        cfg = json.loads((surv_run["root"] / "run.json").read_text())
+        cfg.update(output_dir=str(tmp_path / "o"), target=None, time_col=None, event_col=None)
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["train", str(p)]) == 0
 
     def test_malformed_json_is_config_error(self, tmp_path):
         p = tmp_path / "bad.json"
