@@ -103,7 +103,7 @@ def _numeric_column(table: dict, name: str, what: str) -> np.ndarray:
     arr = _parse_numeric(vals)
     if arr is None:
         raise DataError(
-            f"{what} column {name!r} has non-numeric value {_first_bad_token(vals)!r}"
+            f"{what} column {name!r} has non-numeric value {_first_bad_token(vals)}"
         )
     if np.isnan(arr).any():
         raise DataError(f"{what} column {name!r} has missing values")
@@ -141,16 +141,21 @@ def _training_inputs(run: dict, cfg: TrainConfig):
     return _feature_table(table, set(label_cols)), y, label_cols
 
 
-def _out_dir(path: str) -> str:
+def _out_dir(path: str) -> None:
     """Create the output directory `path` if it is missing; ConfigError if that fails."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create output directory {path}: {e}") from None
-    return path
 
 
 def _write(path: str, text: str) -> str:
+    """Write `text` to `path`, creating its directory first; ConfigError if either fails.
+
+    Every output directory is made here, so a refused run leaves none behind.
+    """
+    if os.path.dirname(path):
+        _out_dir(os.path.dirname(path))
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -191,7 +196,7 @@ def cmd_train(args) -> int:
     model = fit(
         feats, y, cfg, selected_feats=run.get("features"), selected_pairs=pairs
     )
-    out = _out_dir(run["output_dir"])
+    out = run["output_dir"]
     model_path = _write(os.path.join(out, "model.json"), dumps_model(model) + "\n")
     metrics = {"val_loss": float(np.mean([sp.val_loss for sp in model.splits]))}
     if run.get("test_csv"):
@@ -247,7 +252,7 @@ def cmd_select(args) -> int:
             "config": cfg.to_dict(),
         },
     }
-    out = _out_dir(run["output_dir"])
+    out = run["output_dir"]
     _write(os.path.join(out, "selected.json"), json.dumps(payload, indent=2) + "\n")
     print(f"selected {len(res.selected_feats)} features, {len(res.selected_pairs)} pairs")
     return 0
@@ -265,7 +270,7 @@ def cmd_path(args) -> int:
         ladder_factor=args.ladder_factor,
         max_steps=args.max_steps,
     )
-    out = _out_dir(run["output_dir"])
+    out = run["output_dir"]
     lines = ["reg_param,num_feats,val_loss,val_score"]
     for r in res.records:
         lines.append(f"{r.reg_param!r},{r.num_feats},{r.val_loss!r},{r.val_score!r}")
@@ -283,10 +288,9 @@ def cmd_explain(args) -> int:
         raise ConfigError("nothing to do: pass --importance, --shape, or --pair")
     if args.importance and not args.data:
         raise ConfigError("--importance requires --data (the training CSV)")
+    if args.importance and args.svg_dir and args.top_n < 1:
+        raise ConfigError(f"top_n must be an integer >= 1, got {args.top_n!r}")
     model = load_model(args.model)
-    _out_dir(args.out_dir)
-    if args.svg_dir:
-        _out_dir(args.svg_dir)
     if args.importance:
         table = _read_table(args.data)
         rep = ex.feature_importance(model, table, mode=args.mode, pooled=args.pooled)
@@ -317,18 +321,18 @@ def cmd_explain(args) -> int:
 
 def cmd_calibrate(args) -> int:
     model = load_model(args.model)
+    if model.task != "survival":
+        raise ConfigError("calibration requires a survival model")
     table = _read_table(args.data)
     run = {"time_col": args.time_col, "event_col": args.event_col}
     labels, _ = _targets(table, run, "survival")
     exports = ex.calibration(
         model, table, labels, eval_times=args.eval_times, n_bins=args.bins
     )
-    _out_dir(args.out_dir)
     _write(
         os.path.join(args.out_dir, "calibration.csv"), ex.calibration_to_csv(exports)
     )
     if args.svg_dir:
-        _out_dir(args.svg_dir)
         for i, exp in enumerate(exports):
             svg = ex.render_svg(exp, "calibration")
             _write(os.path.join(args.svg_dir, f"calibration_t{i}.svg"), svg)

@@ -211,16 +211,18 @@ def _clipped_repr(v) -> str:
 
 
 def _first_bad_token(values: list) -> str:
+    """The first cell that is not a number, named for an error message: a
+    string by its stripped token, quoted, and any other cell by `_clipped_repr`."""
     for v in values:
-        if v is None or not isinstance(v, str):
+        if v is None:
             continue
-        tok = v.strip()
-        if tok.lower() in MISSING_TOKENS:
+        tok = v.strip() if isinstance(v, str) else v
+        if isinstance(tok, str) and tok.lower() in MISSING_TOKENS:
             continue
         try:
             float(tok)
-        except ValueError:
-            return tok
+        except (TypeError, ValueError):
+            return repr(tok) if isinstance(tok, str) else _clipped_repr(tok)
     return "?"
 
 
@@ -373,7 +375,7 @@ def fit_bins(
             if numeric is None:
                 raise DataError(
                     f"column {fs.name!r} declared continuous but token "
-                    f"{_first_bad_token(vals)!r} does not parse as a number"
+                    f"{_first_bad_token(vals)} does not parse as a number"
                 )
             x = numeric[~np.isnan(numeric)]
             if x.size == 0:
@@ -432,7 +434,7 @@ def transform(table, bin_maps: list[BinMap]) -> BinnedMatrix:
         if numeric is None:
             error = (
                 f"column {bm.feature!r} is continuous but token "
-                f"{_first_bad_token(vals)!r} does not parse as a number"
+                f"{_first_bad_token(vals)} does not parse as a number"
             )
             break
         block[filled] = numeric

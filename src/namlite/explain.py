@@ -158,8 +158,10 @@ def _mean(values: np.ndarray) -> float:
     return values.mean() if values.size else 0.0
 
 
-def _split_scores(sp, codes: np.ndarray, mode: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One (scores, missing) couple per stack of the split's core, for one sample block.
+def _split_scores(core, tabs, codes: np.ndarray, mode: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (scores, missing) couple per stack of a split's core, for one sample block.
+
+    `tabs` holds the split's compiled table for each stack.
 
     A term's score is the mean absolute centered gated contribution,
     averaged over output dimensions. The stratify missing score is the one
@@ -169,10 +171,10 @@ def _split_scores(sp, codes: np.ndarray, mode: str) -> list[tuple[np.ndarray, np
     """
     observed = codes > 0
     out = []
-    for (stack, _), tab in zip(sp.core.stacks(), sp.tables()):
+    for (stack, _), tab in zip(core.stacks(), tabs):
         n = tab.shape[0]
         per_cell = np.abs(tab).mean(axis=2)  # (n, cells)
-        contrib = per_cell[np.arange(n)[None, :], stack.cell_codes(sp.core.feats, codes)]
+        contrib = per_cell[np.arange(n)[None, :], stack.cell_codes(core.feats, codes)]
         if stack.prefix == "feat":
             seen, missing = observed, per_cell[:, 0]
         else:
@@ -202,11 +204,11 @@ def feature_importance(
             f"table has {codes.shape[0]} rows but the model was fit on "
             f"{ens.n_samples}; pass pooled=True for non-training data"
         )
-    folds = ens.folds()
+    folds, tables = ens.folds(), ens.tables()
     rows = []
     for s, sp in enumerate(ens.splits):
         block = codes if pooled else codes[folds[s][0]]
-        rows.append(_split_scores(sp, block, mode))
+        rows.append(_split_scores(sp.core, [tab[s] for tab in tables], block, mode))
     stratify = mode == "stratify"
     entries = []
     kinds = [("feature", ens.feature_names),
@@ -259,7 +261,7 @@ def shape_function(
     nb = bm.n_bins + 1
     lo = 0 if include_missing else 1
     labels = [bm.label(i) for i in range(lo, nb)]
-    stacked = np.stack([sp.tables()[0][j, lo:nb] for sp in ens.splits])  # (k, nb-lo, out)
+    stacked = ens.tables()[0][:, j, lo:nb]  # (k, nb-lo, out)
     blocks = []
     grid = ens.eval_times
     for t_idx in _time_indices(ens, eval_times):
@@ -318,8 +320,8 @@ def pair_shape_function(
     else:
         t_idx, t_out = 0, None
     M = core.feats.padded
-    surfaces = [sp.tables()[1][q, :, t_idx].reshape(M, M)[:nba, :nbb] for sp in ens.splits]
-    mean = np.mean(surfaces, axis=0)
+    surfaces = ens.tables()[1][:, q, :, t_idx].reshape(-1, M, M)[:, :nba, :nbb]
+    mean = surfaces.mean(axis=0)
     meta = _metadata(ens, pair=[key[0], key[1]], eval_time=t_out)
     return PairShapeExport(
         feature_a=key[0],

@@ -625,15 +625,10 @@ def _ungated_tables(core: ModelCore) -> list[np.ndarray]:
 
 @dataclass
 class SingleSplitModel:
-    """One finalized split: `beta0` plus gated, centered per-bin tables.
+    """One finalized split: its core, `beta0` and the centers c_feat, c_pair.
 
-    `tables()` returns those tables; `finalize` compiles them from the
-    ungated tables it centers with, and a split built otherwise (a loaded
-    one) compiles them on first use. They are kept in `_tables`, an
-    attribute that is not a dataclass field, so the persisted weights stay
-    the only saved state. A split is never edited in place: an edit made
-    after its tables are compiled is not seen by later calls, so a changed
-    split is built anew through the constructor.
+    Plain data: the ensemble compiles the split's gated, centered tables
+    on first use (`EnsembleModel.tables`).
     """
 
     core: ModelCore
@@ -643,47 +638,27 @@ class SingleSplitModel:
     history: dict
     val_loss: float
 
-    def tables(self) -> tuple[np.ndarray, ...]:
-        """The centered gated `_ungated_tables`: one table per stack of `core.stacks()`."""
-        compiled = getattr(self, "_tables", None)
-        if compiled is None:
-            compiled = self._compile(_ungated_tables(self.core))
-        return compiled
-
-    def _compile(self, tables: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-        """Gate and center the core's ungated tables; keep them read-only in `_tables`."""
-        compiled = []
-        for (stack, gamma), tab, c in zip(self.core.stacks(), tables, (self.c_feat, self.c_pair)):
-            compiled.append(stack.gates(gamma)[:, None, None] * tab - c[:, None, :])
-            compiled[-1].flags.writeable = False
-        self._tables = tuple(compiled)
-        return self._tables
-
 
 def finalize(core: ModelCore, codes_tr: np.ndarray, history: dict, val_loss: float) -> SingleSplitModel:
-    """Compute centering constants and the post-hoc intercept; compile the tables.
+    """Compute centering constants and the post-hoc intercept.
 
     c_j is the training mean of the gated shape output; beta0 is the sum
     of all c's, so centered and raw routes agree when gates sit at 0 or 1.
     """
-    tables = _ungated_tables(core)
     # One center per term of each stack; c_pair stays (0, out) without pairs.
     centers = [np.zeros((0, core.out_dim))] * 2
-    for k, ((stack, gamma), tab) in enumerate(zip(core.stacks(), tables)):
+    for k, ((stack, gamma), tab) in enumerate(zip(core.stacks(), _ungated_tables(core))):
         vals = tab[np.arange(tab.shape[0])[None, :], stack.cell_codes(core.feats, codes_tr)]
         centers[k] = stack.gates(gamma)[:, None] * vals.mean(axis=0)
     c_feat, c_pair = centers
-    beta0 = c_feat.sum(axis=0) + c_pair.sum(axis=0)
-    split = SingleSplitModel(
+    return SingleSplitModel(
         core=core,
-        beta0=beta0,
+        beta0=c_feat.sum(axis=0) + c_pair.sum(axis=0),
         c_feat=c_feat,
         c_pair=c_pair,
         history=history,
         val_loss=val_loss,
     )
-    split._compile(tables)
-    return split
 
 
 def fit_single_split(
@@ -833,57 +808,54 @@ class EnsembleModel:
     def predict_codes(self, codes: np.ndarray) -> np.ndarray:
         """Mean over splits of g(beta0 + sum of centered contributions).
 
-        One gather reads every split's cells for a block of rows, stack by
-        stack, as does the sum; the link applies per split before the average.
+        One gather per stack reads every split's cells for a block of rows;
+        the link applies per split before the average.
         """
-        flat, offsets, beta0 = self._stacked()
+        tables, offsets, beta0 = self._compiled()
         core = self.splits[0].core
-        stacks = core.stacks()
         n, out = codes.shape[0], beta0.shape[1]
         pred = np.empty((n, out))
-        step = max(1, _GATHER_CELLS // (offsets.size * out))
+        step = max(1, _GATHER_CELLS // (sum(o.size for o in offsets) * out))
         for s in range(0, n, step):
-            blocks = [stack.cell_codes(core.feats, codes[s : s + step]) for stack, _ in stacks]
-            c = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-            vals = flat[offsets[:, None, :] + c]  # (K, rows, terms, out)
-            eta, lo = beta0[:, None, :], 0
-            for block in blocks:
-                eta = eta + np.einsum("kbto->kbo", vals[:, :, lo : lo + block.shape[1]])
-                lo += block.shape[1]
+            eta = beta0[:, None, :]
+            for (stack, _), tab, off in zip(core.stacks(), tables, offsets):
+                c = stack.cell_codes(core.feats, codes[s : s + step])
+                vals = tab.reshape(-1, out)[off[:, None, :] + c]  # (K, rows, terms, out)
+                eta = eta + np.einsum("kbto->kbo", vals)
             pred[s : s + step] = _link(eta, core.link).mean(axis=0)
         if self.task == "survival":
             return pred
         return pred[:, 0]
 
-    def _stacked(self):
-        """Every split's compiled tables as one (cells, out) table, built on first use.
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """Every split's gated, centered tables, compiled on first use: one
+        read-only (K, terms, cells, out) table per stack of `core.stacks()`."""
+        return self._compiled()[0]
 
-        Returns that table; `offsets`, (K, terms), the first row of split
-        k's table for each term of each stack in turn; and `beta0`,
-        (K, out). Every split reads cell codes as split 0's core makes
-        them. The result is kept in `_stacked_memo`, not a dataclass
-        field, with the split tables it was built from, and built again
-        when any of them is not the one a split now returns.
+    def _compiled(self):
+        """`tables()`; per stack, the (K, terms) offsets of each term's first
+        row in its table flattened to (K * terms * cells, out); and `beta0`,
+        (K, out). Every split reads cell codes as split 0's core makes them.
+
+        Kept in `_memo`, not a dataclass field, with the splits it was built
+        from, and built again when `splits` holds any other object: a split
+        is never edited in place, but built anew through the constructor.
         """
-        tables = [sp.tables() for sp in self.splits]
-        memo = getattr(self, "_stacked_memo", None)
-        if memo is not None and len(memo[0]) == len(tables) and all(
-            a is b for a, b in zip(memo[0], tables)
-        ):
-            return memo[1]
-        parts, starts, width = [], [], 0
-        for tabs in zip(*tables):  # one stack's table in every split
-            tab = np.stack(tabs)
-            K, terms, cells, out = tab.shape
-            parts.append(tab.reshape(K, terms * cells, out))
-            starts.append(width + np.arange(terms) * cells)
-            width += terms * cells
-        flat = np.concatenate(parts, axis=1).reshape(-1, out)
-        offsets = np.arange(K)[:, None] * width + np.concatenate(starts)
-        beta0 = np.stack([sp.beta0 for sp in self.splits])
-        stacked = (flat, offsets, beta0)
-        self._stacked_memo = (tables, stacked)
-        return stacked
+        memo = getattr(self, "_memo", None)
+        if memo is None or list(map(id, memo[0])) != list(map(id, self.splits)):
+            per_split = [[stack.gates(gamma)[:, None, None] * tab - c[:, None, :]
+                          for (stack, gamma), tab, c in zip(
+                              sp.core.stacks(), _ungated_tables(sp.core), (sp.c_feat, sp.c_pair))]
+                         for sp in self.splits]
+            tables = tuple(np.stack(tabs) for tabs in zip(*per_split))
+            offsets = []
+            for tab in tables:
+                tab.flags.writeable = False
+                K, terms, cells, _ = tab.shape
+                offsets.append((np.arange(K)[:, None] * terms + np.arange(terms)) * cells)
+            beta0 = np.stack([sp.beta0 for sp in self.splits])
+            memo = self._memo = (list(self.splits), (tables, offsets, beta0))
+        return memo[1]
 
 
 def _check_selection(selected_feats, selected_pairs) -> None:

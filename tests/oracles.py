@@ -12,8 +12,10 @@ from namlite.core import (
     KernelConfig,
     _link,
     backward_pass,
+    bin_tables,
     flat_pair_codes,
     forward_pass,
+    pair_bin_tables,
     param_dict,
     smoothing_operator,
 )
@@ -66,10 +68,13 @@ def monotone_output(raw: np.ndarray, direction: int, offset: float) -> np.ndarra
 
 
 def predict_eta(split, codes: np.ndarray) -> np.ndarray:
-    """beta0 plus every term's centered contribution, read from the split's own tables."""
+    """beta0 plus every term's centered contribution, each read from its
+    core's ungated table times its gate, minus its center."""
     core = split.core
     eta = split.beta0
-    for (stack, _), tab in zip(core.stacks(), split.tables()):
+    builds, centers = (bin_tables, pair_bin_tables), (split.c_feat, split.c_pair)
+    for (stack, gamma), build, c in zip(core.stacks(), builds, centers):
+        tab = stack.gates(gamma)[:, None, None] * build(core) - c[:, None, :]
         cells = stack.cell_codes(core.feats, codes)
         eta = eta + np.einsum("bto->bo", tab[np.arange(tab.shape[0]), cells])
     return eta

@@ -529,22 +529,26 @@ class TestExplain:
     def test_importance_without_data_is_config_error(self, reg_run):
         assert main(["explain", reg_run["model"], "--importance"]) == 2
 
-    @pytest.mark.parametrize("action", [[], ["--importance"]], ids=["none", "no_data"])
-    def test_refusal_creates_no_directory(self, reg_run, tmp_path, action, capsys):
+    @pytest.mark.parametrize("action, code", [
+        ([], 2), (["--importance"], 2), (["--shape", "nope"], 3), (["--pair", "x1", "x2"], 3),
+    ], ids=["none", "no_data", "unknown_shape", "unselected_pair"])
+    def test_refusal_creates_no_directory(self, reg_run, tmp_path, action, code, capsys):
         out, svg = tmp_path / "exp", tmp_path / "svg"
         rc = main(["explain", reg_run["model"], *action,
                    "--out-dir", str(out), "--svg-dir", str(svg)])
-        assert rc == 2
+        assert rc == code
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists() and not svg.exists()
 
     @pytest.mark.parametrize("top_n", ["0", "-1"])
     def test_nonpositive_top_n_is_config_error(self, reg_run, tmp_path, top_n, capsys):
+        out, svg = tmp_path / "exp", tmp_path / "svg"
         rc = main(["explain", reg_run["model"], "--data", reg_run["train_csv"],
                    "--importance", "--top-n", top_n,
-                   "--out-dir", str(tmp_path), "--svg-dir", str(tmp_path / "svg")])
+                   "--out-dir", str(out), "--svg-dir", str(svg)])
         assert rc == 2
         assert "top_n" in capsys.readouterr().err
+        assert not out.exists() and not svg.exists()
 
     def test_undecodable_inputs_are_data_errors(self, reg_run, tmp_path):
         bad = tmp_path / "model.json"
@@ -598,3 +602,11 @@ class TestCalibrate:
              "--out-dir", str(tmp_path)]
         )
         assert rc == 2
+
+    def test_task_is_checked_before_label_columns(self, reg_run, tmp_path, capsys):
+        """A regression CSV has no time column; the task is the error named."""
+        out = tmp_path / "cal"
+        rc = main(["calibrate", reg_run["model"], reg_run["train_csv"], "--out-dir", str(out)])
+        assert rc == 2
+        assert "requires a survival model" in capsys.readouterr().err
+        assert not out.exists()

@@ -63,8 +63,9 @@ def _hand_ensemble():
             w1, b1 = core.feats.weights[1]
             w1[j] = 1.0
             b1[j] = -10.0
-        # A fitted split's tables are compiled, so the edited core goes
-        # into a new split, which compiles its own on first use.
+        # A split is never edited in place: the ensemble keeps the tables
+        # it compiled for the splits it holds, so the edited core goes into
+        # a new split, whose tables the ensemble compiles on first use.
         splits.append(SingleSplitModel(
             core=core, beta0=sp.beta0, c_feat=np.zeros_like(sp.c_feat), c_pair=sp.c_pair,
             history=sp.history, val_loss=sp.val_loss,
@@ -371,9 +372,27 @@ class TestCompiledTables:
         pair_shape_function(ens, "a", "b")
         assert calls == []
 
+    def test_splits_are_plain_data_and_exports_read_the_tables(self, pair_ens):
+        ens, table = pair_ens
+        ens.predict(table)
+        ens.predict({k: v[:1] for k, v in table.items()})
+        for mode in IMPORTANCE_MODES:
+            feature_importance(ens, table, mode=mode)
+        for feat in ens.feature_names:
+            shape_function(ens, feat)
+        pair_shape_function(ens, "a", "b")
+        fields = set(SingleSplitModel.__dataclass_fields__)
+        for sp in ens.splits:
+            assert set(vars(sp)) == fields
+        feats = ens.tables()[0]
+        for j, feat in enumerate(ens.feature_names):
+            nb = ens.bin_maps[j].n_bins + 1
+            np.testing.assert_array_equal(shape_function(ens, feat).blocks[0].values,
+                                          feats[:, j, :nb, 0])
+
     def test_tables_are_read_only(self, pair_ens):
         ens, _ = pair_ens
-        for table in ens.splits[0].tables():
+        for table in ens.tables():
             with pytest.raises(ValueError):
                 table[0] = 0.0
 

@@ -183,8 +183,8 @@ class TestExtents:
 
     def test_mains_only_split_has_one_table(self, mains_trained):
         ens, _ = mains_trained
-        for sp in ens.splits + loads_model(dumps_model(ens)).splits:
-            assert len(sp.tables()) == 1
+        for model in (ens, loads_model(dumps_model(ens))):
+            assert len(model.tables()) == 1
 
 
 class TestVersioning:
