@@ -196,13 +196,14 @@ def cmd_train(args) -> int:
     model = fit(
         feats, y, cfg, selected_feats=run.get("features"), selected_pairs=pairs
     )
-    out = run["output_dir"]
-    model_path = _write(os.path.join(out, "model.json"), dumps_model(model) + "\n")
     metrics = {"val_loss": float(np.mean([sp.val_loss for sp in model.splits]))}
     if run.get("test_csv"):
         ttable = _read_table(run["test_csv"])
         ty, _ = _targets(ttable, run, cfg.task)
         metrics.update(_test_metrics(model, _feature_table(ttable, set(label_cols)), ty))
+    # Written only now, so a run refused above leaves no file behind.
+    out = run["output_dir"]
+    model_path = os.path.join(out, "model.json")
     report = {
         "metrics": metrics,
         "metadata": {
@@ -211,6 +212,7 @@ def cmd_train(args) -> int:
             "config": model.config.to_dict(),
         },
     }
+    _write(model_path, dumps_model(model) + "\n")
     _write(os.path.join(out, "metrics.json"), json.dumps(report, indent=2) + "\n")
     for k in sorted(metrics):
         print(f"{k}={metrics[k]!r}")

@@ -14,8 +14,8 @@ where the chain rule has Sᵀ, and pair smoothing is its own gradient.
 Every learnable array of a core is a view into one float64 vector,
 `ModelCore.flat`: the feature stack's arrays in the order of its
 `learnable()` list, then the pair stack's. So `param_dict` views stay
-live, gradients come back in the same layout, every training phase's
-parameters are one slice of it, and the optimizer and the
+live, gradients come back in the same layout, the stacks a training
+phase trains are one slice of it, and the optimizer and the
 early-stopping snapshots work on whole vectors. The arrays are edited
 in place only and never rebound: an array assigned over a stack's field
 is no longer seen by training. The pair stack is replaced only through
@@ -60,7 +60,6 @@ __all__ = [
     "init_core",
     "flat_views",
     "param_dict",
-    "param_span",
     "sigmoid",
 ]
 
@@ -190,12 +189,7 @@ class FeatureStack(_Stack):
         return int(self.emb.shape[1])
 
     def learnable(self) -> list[tuple[str, np.ndarray]]:
-        """Trainable arrays by `param_dict` name, in buffer order.
-
-        The offsets lead and the gates trail, so every training phase's
-        keys are adjacent, with or without monotone offsets or gates, and
-        the gates meet the pair stack's arrays that follow.
-        """
+        """Trainable arrays by `param_dict` name, in buffer order."""
         return ([("feat_off", self.mono_off), ("feat_emb", self.emb)]
                 + _layer_arrays("feat", self.weights) + [("feat_mu", self.mu)])
 
@@ -502,8 +496,8 @@ def backward_pass(
     under "flat"; the per-parameter entries are views of it. The section
     of a stack the cache did not run is left unwritten and has no
     entries. A gate gradient is exact everywhere: a gate fixed at 1 sits
-    at mu = gamma/2, where the smooth step's slope is exactly 0, and the
-    training phase's parameter keys decide whether a gate moves.
+    at mu = gamma/2, where the smooth step's slope is exactly 0, so its
+    gradient is exactly 0 and a training phase can train its whole stack.
     """
     params = param_dict(core)
     grads: dict[str, np.ndarray] = {"flat": np.empty(core.flat.size)}
@@ -652,26 +646,3 @@ def init_core(
 def param_dict(core: ModelCore) -> dict[str, np.ndarray]:
     """Live views of every learnable array, keyed by stable names."""
     return dict(kv for stack, _ in core.stacks() for kv in stack.learnable())
-
-
-def param_span(core: ModelCore, keys) -> tuple[slice, list[str]]:
-    """The slice of `core.flat` that holds exactly the named parameters.
-
-    Returns it with the names present, in buffer order. Raises
-    ValueError if they are not adjacent, or if an array is not a view of
-    `core.flat` (it was rebound).
-    """
-    keys = set(keys)
-    names, lo, hi, start = [], 0, 0, 0
-    for name, arr in param_dict(core).items():
-        if name in keys:
-            if not np.may_share_memory(arr, core.flat):
-                raise ValueError(f"{name} was rebound; it is not a view of the core's buffer")
-            if names and hi != start:
-                raise ValueError(f"parameters {sorted(keys)} are not adjacent in the buffer")
-            if not names:
-                lo = start
-            hi = start + arr.size
-            names.append(name)
-        start += arr.size
-    return slice(lo, hi), names

@@ -123,17 +123,8 @@ def _build_selection(table, y, cfg: TrainConfig, sel: SelectionConfig, schema):
 
 
 def _run_selection_step(run: _SelectionRun, reg: float, pair_reg: float):
-    select_pairs = bool(run.pair_universe)
-    phase = _Phase(
-        "selection",
-        train_feats=True,
-        train_pairs=select_pairs,
-        feat_gates=True,
-        pair_gates=select_pairs,
-        reg=reg,
-        pair_reg=pair_reg,
-    )
-    return run.split.run(run.core, phase, run.shuffle_rng)
+    regs = {"feat": reg, "pair": pair_reg} if run.pair_universe else {"feat": reg}
+    return run.split.run(run.core, _Phase("selection", regs), run.shuffle_rng)
 
 
 def _result_from(run: _SelectionRun) -> SelectionResult:
@@ -210,7 +201,7 @@ def _val_metrics(run: _SelectionRun, cfg: TrainConfig) -> tuple[float, float]:
     split = run.split
     cache = forward_pass(run.core, split.codes_val, compute_pairs=bool(run.pair_universe))
     rows = np.arange(split.codes_val.shape[0])
-    val_loss = split.obj_val.loss(cache.eta, rows)
+    val_loss = split.obj_val.loss_grad(cache.eta, rows)[0]
     if cfg.task == "classification":
         score = _rank_auc(split.obj_val.y, sigmoid(cache.eta[:, 0]))
     elif cfg.task == "regression":

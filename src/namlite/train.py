@@ -35,8 +35,6 @@ from .core import (
     forward_pass,
     init_core,
     pair_bin_tables,
-    param_dict,
-    param_span,
     sigmoid,
     smooth_step,
 )
@@ -219,9 +217,6 @@ class _MseObjective:
         err = eta[:, 0] - self.y[rows]
         return float(np.mean(err**2)), (2.0 * err / rows.size)[:, None]
 
-    def loss(self, eta, rows):
-        return float(np.mean((eta[:, 0] - self.y[rows]) ** 2))
-
 
 class _BceObjective:
     link = "sigmoid"
@@ -235,11 +230,6 @@ class _BceObjective:
         y = self.y[rows]
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
         return loss, ((sigmoid(z) - y) / rows.size)[:, None]
-
-    def loss(self, eta, rows):
-        z = eta[:, 0]
-        y = self.y[rows]
-        return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
 class _IpcwObjective:
@@ -258,12 +248,6 @@ class _IpcwObjective:
         d_p = (2.0 * w1 * p - 2.0 * w2 * (1.0 - p)) / p.size
         return loss, d_p * p * (1.0 - p)
 
-    def loss(self, eta, rows):
-        p = sigmoid(eta)
-        return float(
-            np.mean(self.w_alive[rows] * p**2 + self.w_event[rows] * (1.0 - p) ** 2)
-        )
-
 
 # The objective each task trains; its `link` maps eta to the prediction.
 _OBJECTIVES = {
@@ -276,28 +260,41 @@ _OBJECTIVES = {
 
 
 class Adam:
-    """Adaptive-moment descent over the named parameters of one core.
+    """Adaptive-moment descent over the whole stacks of one core that train.
 
-    The parameters are one slice of `core.flat` (`param_span`), and the
-    moments `m` and `v` are one vector each over that slice, so a step
-    is one update of whole vectors. `step` takes `backward_pass`'s
-    gradients, whose "flat" vector shares the core's layout.
+    `prefixes` names them. Their sections of `core.flat` are adjacent, so
+    the parameters are one slice of it (`span`), and the moments `m` and
+    `v` are one vector each over that slice: a step is one update of
+    whole vectors. `step` takes `backward_pass`'s gradients, whose "flat"
+    vector shares the core's layout. A parameter whose gradient is always
+    exactly 0 keeps moments of 0, so its update is 0 and its bits do not
+    change: that holds a fixed gate and a non-monotone feature's offset.
     """
 
-    def __init__(self, core: ModelCore, keys: list[str], lr: float,
+    def __init__(self, core: ModelCore, prefixes, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.span, names = param_span(core, keys)
+        trained, end = [], 0  # (prefix, start and end in core.flat, array shapes)
+        for stack, _ in core.stacks():
+            arrays = stack.learnable()
+            start, end = end, end + sum(a.size for _, a in arrays)
+            if stack.prefix in prefixes:
+                for name, a in arrays:
+                    if not np.may_share_memory(a, core.flat):
+                        raise ValueError(f"{name} was rebound; it is not a view of the core's buffer")
+                trained.append((stack.prefix, start, end, [a.shape for _, a in arrays]))
+        lo = trained[0][1]
+        self.span = slice(lo, trained[-1][2])
         self.params = core.flat[self.span]
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
-        shapes = [param_dict(core)[k].shape for k in names]
-        # Per-parameter views of the moments, for zero_rows.
-        self._rows = list(zip(names, flat_views(self.m, shapes), flat_views(self.v, shapes)))
+        # Per-array views of the moments of each stack, for zero_rows.
+        self._rows = {prefix: flat_views(self.m[at - lo :], shapes) + flat_views(self.v[at - lo :], shapes)
+                      for prefix, at, _, shapes in trained}
 
     def step(self, grads: dict) -> None:
         self.t += 1
@@ -311,11 +308,9 @@ class Adam:
         self.params -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
 
     def zero_rows(self, prefix: str, row: int) -> None:
-        """Kill momentum for one feature/pair so it never moves again."""
-        for name, m, v in self._rows:
-            if name.startswith(prefix):
-                m[row] = 0.0
-                v[row] = 0.0
+        """Kill momentum for one term of the stack named `prefix` so it never moves again."""
+        for moment in self._rows[prefix]:
+            moment[row] = 0.0
 
 
 # --- phased training loop -----------------------------------------------------
@@ -323,36 +318,21 @@ class Adam:
 
 @dataclass(frozen=True)
 class _Phase:
+    """A training phase: its name and, by prefix, each stack it trains
+    with that stack's gate regularizer.
+
+    A phase trains every parameter of its stacks. A gate that must not
+    move is fixed at 1, where its gradient is exactly 0 (see `Adam`).
+    """
+
     name: str
-    train_feats: bool = False
-    train_pairs: bool = False
-    feat_gates: bool = False
-    pair_gates: bool = False
-    reg: float = 0.0
-    pair_reg: float = 0.0
-
-    def of(self, prefix: str) -> tuple[bool, bool, float]:
-        """(trains the stack, trains its gates, gate regularizer) for the stack named `prefix`."""
-        return {"feat": (self.train_feats, self.feat_gates, self.reg),
-                "pair": (self.train_pairs, self.pair_gates, self.pair_reg)}[prefix]
-
-
-def _phase_keys(core: ModelCore, phase: _Phase) -> list[str]:
-    # Gates move only in phases that train them; offsets only for monotone features.
-    fixed = set() if np.any(core.feats.mono_dir) else {"feat_off"}
-    keys = []
-    for stack, _ in core.stacks():
-        trains, gates, _ = phase.of(stack.prefix)
-        if trains:
-            keys += [k for k, _ in stack.learnable()
-                     if k not in fixed and (gates or k != f"{stack.prefix}_mu")]
-    return keys
+    regs: dict[str, float]
 
 
 def _reg_value(core: ModelCore, phase: _Phase) -> float:
     val = 0.0
     for stack, gamma in core.stacks():
-        _, _, reg = phase.of(stack.prefix)
+        reg = phase.regs.get(stack.prefix, 0.0)
         if reg > 0:
             val += reg * float(np.sum(stack.gates(gamma)))
     return val
@@ -371,14 +351,15 @@ def _restore(core: ModelCore, snap) -> None:
 
 
 def _prune(core: ModelCore, adam: Adam, phase: _Phase) -> None:
-    """Switch off every term of a gate-training stack whose gate hit 0, and kill its momentum."""
+    """Switch off every term of a trained stack whose gate hit 0, and kill its momentum.
+
+    A fixed gate is exactly 1, so only stacks whose gates train lose terms."""
     for stack, gamma in core.stacks():
-        _, gates, _ = phase.of(stack.prefix)
-        if gates:
+        if stack.prefix in phase.regs:
             s = smooth_step(stack.mu, gamma)
             for j in np.flatnonzero(stack.active & (s <= 0.0)):
                 stack.active[j] = False
-                adam.zero_rows(f"{stack.prefix}_", int(j))
+                adam.zero_rows(stack.prefix, int(j))
 
 
 # --- objectives per split -----------------------------------------------------
@@ -473,23 +454,24 @@ class _Split:
         )
 
     def run(self, core: ModelCore, phase: _Phase, shuffle_rng) -> list[dict]:
-        """Train `phase`'s parameters of `core`; keep the epoch of lowest validation loss."""
+        """Train `phase`'s stacks of `core`; keep the epoch of lowest validation loss."""
         cfg = self.cfg
         n_tr = self.codes_tr.shape[0]
+        feats, pairs = "feat" in phase.regs, "pair" in phase.regs
 
         def fold(codes):
             """Bin codes, pair cells if pairs train, and the frozen mains' eta if mains do not."""
-            pc = flat_pair_codes(core, codes) if phase.train_pairs else None
-            off = None if phase.train_feats else forward_pass(core, codes, compute_pairs=False).eta
+            pc = flat_pair_codes(core, codes) if pairs else None
+            off = None if feats else forward_pass(core, codes, compute_pairs=False).eta
             return codes, pc, off
 
         def forward(inputs, rows=slice(None)):
             codes, pc, off = (None if a is None else a[rows] for a in inputs)
             return forward_pass(core, codes, pair_codes=pc, eta_offset=off,
-                                compute_feats=phase.train_feats, compute_pairs=phase.train_pairs)
+                                compute_feats=feats, compute_pairs=pairs)
 
         tr_in, val_in = fold(self.codes_tr), fold(self.codes_val)
-        adam = Adam(core, _phase_keys(core, phase), cfg.learning_rate)
+        adam = Adam(core, phase.regs, cfg.learning_rate)
         best = _snapshot(core)
         best_val = np.inf
         bad = 0
@@ -507,15 +489,14 @@ class _Split:
                     raise TrainingError(
                         f"training loss diverged at epoch {epoch} ({phase.name} phase)"
                     )
-                grads = backward_pass(
-                    core, cache, d_eta, reg_param=phase.reg, pair_reg_param=phase.pair_reg
-                )
+                grads = backward_pass(core, cache, d_eta, phase.regs.get("feat", 0.0),
+                                      phase.regs.get("pair", 0.0))
                 adam.step(grads)
                 epoch_loss += loss * rows.size / n_tr
             _prune(core, adam, phase)
             # Keep only eta: the cache's per-row arrays would outlive the epoch.
             val_eta = forward(val_in).eta
-            val = self.obj_val.loss(val_eta, val_rows) + _reg_value(core, phase)
+            val = self.obj_val.loss_grad(val_eta, val_rows)[0] + _reg_value(core, phase)
             if not np.isfinite(val):
                 raise TrainingError(
                     f"validation loss diverged at epoch {epoch} ({phase.name} phase)"
@@ -612,7 +593,7 @@ def _prepare(table, y, cfg: TrainConfig, schema, selected_feats=None) -> _Prepar
 def _train_mains(split: _Split, rng, shuffle_rng) -> tuple[ModelCore, list[dict]]:
     """A fresh core with its mains trained on `split`, gates fixed at 1."""
     core = split.new_core(rng)
-    return core, split.run(core, _Phase("mains", train_feats=True), shuffle_rng)
+    return core, split.run(core, _Phase("mains", {"feat": 0.0}), shuffle_rng)
 
 
 # --- split models -------------------------------------------------------------
@@ -710,7 +691,7 @@ def _attach_pairs(
 def _train_pairs(split: _Split, core: ModelCore, pairs: list, rng, shuffle_rng) -> list[dict]:
     """Attach fixed-gate pairs to `core` and train them on its frozen mains."""
     _attach_pairs(split, core, pairs, rng, core.pair_gamma, trainable_gates=False)
-    return split.run(core, _Phase("pairs", train_pairs=True), shuffle_rng)
+    return split.run(core, _Phase("pairs", {"pair": 0.0}), shuffle_rng)
 
 
 # --- pair selection on the first split ----------------------------------------
@@ -757,16 +738,7 @@ def _select_pairs(
         return []
     gamma = default_gamma(split.codes_tr.shape[0], cfg.batch_size, cfg.embedding_dim)
     _attach_pairs(split, core, universe, rng, gamma / 4.0, trainable_gates=True)
-    split.run(
-        core,
-        _Phase(
-            "pair-select",
-            train_pairs=True,
-            pair_gates=True,
-            pair_reg=cfg.pair_select_reg,
-        ),
-        shuffle_rng,
-    )
+    split.run(core, _Phase("pair-select", {"pair": cfg.pair_select_reg}), shuffle_rng)
     pair_stack, pair_gamma = core.stacks()[-1]
     gates = pair_stack.gates(pair_gamma)
     open_ = [i for i in range(len(universe)) if gates[i] > 0]

@@ -128,6 +128,20 @@ class TestTrain:
         assert report["metadata"]["config"]["task"] == "regression"
         assert "threads" not in report["metadata"]["config"]
 
+    @pytest.mark.parametrize("missing", ["y", "x2"], ids=["target", "feature"])
+    def test_test_csv_without_a_column_leaves_no_output(self, reg_run, tmp_path, missing, capsys):
+        rng = np.random.default_rng(5)
+        cols = {k: rng.normal(size=40) for k in ("x1", "x2", "y") if k != missing}
+        cfg = json.loads(reg_run["cfg_path"].read_text())
+        cfg.update(output_dir=str(tmp_path / "o"), max_epochs=1,
+                   test_csv=_write_csv(tmp_path / "test.csv", cols))
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["train", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert repr(missing) in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_training_does_not_mutate_inputs(self, reg_run, tmp_path):
         before = hashlib.sha256(open(reg_run["train_csv"], "rb").read()).hexdigest()
         cfg = json.loads(reg_run["cfg_path"].read_text())

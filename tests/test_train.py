@@ -11,7 +11,6 @@ from namlite.core import (
     forward_pass,
     init_core,
     param_dict,
-    param_span,
 )
 from namlite.data import split_folds, transform
 from namlite.errors import ConfigError, DataError
@@ -542,52 +541,75 @@ class _PerKeyAdam:
                 self.v[k][row] = 0.0
 
 
+# Per case: core kwargs, the phase, the stacks whose gates train (the others
+# sit fixed at exactly 1), and the stack one of whose terms is pruned mid-run.
 _PHASES = {
     "feats_monotone_gates": (dict(mono_dir=np.array([0, 1, 0])),
-                             train._Phase("sel", train_feats=True, feat_gates=True), "feat_"),
-    "feats_gates": ({}, train._Phase("sel", train_feats=True, feat_gates=True), "feat_"),
+                             train._Phase("sel", {"feat": 0.1}), {"feat"}, "feat"),
+    "feats_gates": ({}, train._Phase("sel", {"feat": 0.1}), {"feat"}, "feat"),
     "mains_monotone": (dict(mono_dir=np.array([1, 0, 0])),
-                       train._Phase("mains", train_feats=True), "feat_"),
-    "pairs": (dict(pairs=[(0, 1), (1, 2)]), train._Phase("pairs", train_pairs=True), "pair_"),
+                       train._Phase("mains", {"feat": 0.0}), set(), "feat"),
+    "mains": ({}, train._Phase("mains", {"feat": 0.0}), set(), "feat"),
+    "pairs": (dict(pairs=[(0, 1), (1, 2)]), train._Phase("pairs", {"pair": 0.0}), set(), "pair"),
     "pair_select": (dict(pairs=[(0, 1), (1, 2)]),
-                    train._Phase("ps", train_pairs=True, pair_gates=True), "pair_"),
+                    train._Phase("ps", {"pair": 0.05}), {"pair"}, "pair"),
     "feats_and_pairs": (dict(pairs=[(0, 1), (0, 2)]),
-                        train._Phase("sel", train_feats=True, train_pairs=True, feat_gates=True,
-                                     pair_gates=True), "pair_"),
+                        train._Phase("sel", {"feat": 0.1, "pair": 0.05}), {"feat", "pair"}, "pair"),
 }
+
+
+def _phase_core(case, seed):
+    """The case's core, its gates set up as the phase meets them: trained
+    ones half open, so the row pruned below has gradients and momentum,
+    and the others fixed at exactly 1 (mu = gamma/2)."""
+    kw, _, gated, _ = _PHASES[case]
+    core = tiny_core(np.random.default_rng(seed), **kw)
+    for stack, gamma in core.stacks():
+        stack.mu[...] = 0.0 if stack.prefix in gated else gamma / 2
+    return core
+
+
+def _moving_keys(core, phase, gated):
+    """The parameters a phase moved under the per-key rule: every array of
+    its stacks except fixed gates, and the offsets only with a monotone feature."""
+    fixed = set() if np.any(core.feats.mono_dir) else {"feat_off"}
+    return [k for stack, _ in core.stacks() if stack.prefix in phase.regs
+            for k, _ in stack.learnable()
+            if k not in fixed and (stack.prefix in gated or k != f"{stack.prefix}_mu")]
 
 
 @pytest.mark.parametrize("case", sorted(_PHASES))
 def test_flat_adam_matches_per_key_adam_bit_for_bit(case):
-    kw, phase, pruned = _PHASES[case]
-    flat_core, ref_core = (tiny_core(np.random.default_rng(21), **kw) for _ in range(2))
-    for core in (flat_core, ref_core):
-        # Half-open gates, so the row pruned below has gradients and momentum.
-        (core.feats if pruned == "feat_" else core.pairs).mu[...] = 0.0
+    """Whole-stack training moves exactly what the per-key rule moved, to the same bits."""
+    _, phase, gated, pruned = _PHASES[case]
+    flat_core, ref_core = _phase_core(case, 21), _phase_core(case, 21)
+    start = {k: v.copy() for k, v in param_dict(flat_core).items()}
     rng = np.random.default_rng(5)
     codes = random_codes(rng, 40, flat_core.feats.n_bins)
     target = rng.normal(size=(40, 1))
-    keys = train._phase_keys(flat_core, phase)
-    flat = Adam(flat_core, keys, 0.05)
+    keys = _moving_keys(flat_core, phase, gated)
+    flat = Adam(flat_core, phase.regs, 0.05)
     ref = _PerKeyAdam(param_dict(ref_core), keys, 0.05)
+    regs = [phase.regs.get(p, 0.0) for p in ("feat", "pair")]
     for step in range(8):
         rows = rng.permutation(40)[:16]
         for core, opt in ((flat_core, flat), (ref_core, ref)):
-            cache = forward_pass(core, codes[rows], compute_feats=phase.train_feats,
-                                 compute_pairs=phase.train_pairs)
-            grads = backward_pass(core, cache, cache.eta - target[rows], 0.1, 0.05)
+            cache = forward_pass(core, codes[rows], compute_feats="feat" in phase.regs,
+                                 compute_pairs="pair" in phase.regs)
+            grads = backward_pass(core, cache, cache.eta - target[rows], *regs)
             opt.step(grads)
         if step == 3:
             # What pruning does: the row is switched off and its momentum killed.
             for core, opt in ((flat_core, flat), (ref_core, ref)):
-                stack = core.feats if pruned == "feat_" else core.pairs
+                stack = core.feats if pruned == "feat" else core.pairs
                 stack.active[1] = False
                 opt.zero_rows(pruned, 1)
     trained = param_dict(flat_core)
-    fresh = param_dict(tiny_core(np.random.default_rng(21), **kw))
-    assert all(not np.array_equal(trained[k], fresh[k]) for k in keys)
+    assert all(not np.array_equal(trained[k], start[k]) for k in keys)
     for k, v in param_dict(ref_core).items():
         np.testing.assert_array_equal(trained[k], v, err_msg=k)
+    for k in set(trained) - set(keys):  # fixed gates, plain offsets and untrained stacks
+        assert trained[k].tobytes() == start[k].tobytes(), k
 
 
 def test_fresh_core_parameters_are_views_of_one_buffer():
@@ -604,13 +626,16 @@ def test_fresh_core_parameters_are_views_of_one_buffer():
 
 
 @pytest.mark.parametrize("case", sorted(_PHASES))
-def test_every_phase_trains_one_slice(case):
-    kw, phase, _ = _PHASES[case]
-    core = tiny_core(np.random.default_rng(2), **kw)
-    keys = train._phase_keys(core, phase)
-    span, names = param_span(core, keys)
-    assert sorted(names) == sorted(keys)
-    assert span.stop - span.start == sum(param_dict(core)[k].size for k in keys)
+def test_adam_spans_exactly_the_trained_stacks(case):
+    _, phase, _, _ = _PHASES[case]
+    core = _phase_core(case, 2)
+    adam = Adam(core, phase.regs, 0.01)
+    trained = [a for stack, _ in core.stacks() if stack.prefix in phase.regs
+               for _, a in stack.learnable()]
+    assert adam.params.size == sum(a.size for a in trained)
+    for stack, _ in core.stacks():
+        for name, a in stack.learnable():
+            assert np.shares_memory(a, adam.params) == (stack.prefix in phase.regs), name
 
 
 def test_attached_pairs_share_the_core_buffer():
@@ -648,4 +673,4 @@ def test_adam_refuses_a_rebound_parameter():
     core = tiny_core(np.random.default_rng(9))
     core.feats.emb = core.feats.emb.copy()
     with pytest.raises(ValueError, match="feat_emb"):
-        Adam(core, ["feat_emb"], 0.01)
+        Adam(core, ["feat"], 0.01)
