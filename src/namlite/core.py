@@ -30,6 +30,19 @@ scores. Each stack supplies what differs: its `param_dict` name `prefix`,
 true table shape inside the padded one, which saving cuts to),
 `smoothed` (S @ x, or the two-axis pair smoothing; each its own gradient)
 and `monotone` with its backward `monotone_grad` (identity for pairs).
+
+A training step is `forward_pass`, the loss gradient, `backward_pass` and
+the optimizer step, and what is fixed for a step or a phase is worked out
+once. A stack's gates and their slopes come from a memo on the stack,
+keyed by the gate width and the contents of `mu` and `active`: a gate
+that does not move (every gate of a mains or pairs phase) is evaluated
+once, and Adam's in-place updates, pruning and restores re-key the memo.
+`forward_pass` keeps the gate values it used in each stack's `StackPass`,
+and `backward_pass` reads them there. The monotone features are found
+once per stack. `backward_pass` takes its gradient views from the
+`learnable()` lists of the stacks the cache ran and checks each stack's
+written slice of the gradient vector for finiteness once, naming the
+first non-finite array only if it fails.
 """
 
 from __future__ import annotations
@@ -155,15 +168,36 @@ def _layers_from(views) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 class _Stack:
-    """What both stacks share; without monotone terms (pairs) `monotone` passes through."""
+    """What both stacks share; without monotone terms (pairs) `monotone` passes through.
+
+    The gate values and their slopes are memoized, keyed by the gate width
+    and the contents of `mu` and `active`: a gate that does not move is
+    evaluated once per phase, and Adam's in-place updates, pruning and
+    restores re-key it. The memoized arrays are read-only.
+    """
+
+    _gate_memo = None  # (key, gates, slopes)
+
+    def _gate_values(self, gamma: float) -> tuple:
+        key = (gamma, self.mu.tobytes(), self.active.tobytes())
+        if self._gate_memo is None or self._gate_memo[0] != key:
+            gates = smooth_step(self.mu, gamma) * self.active
+            slopes = smooth_step_grad(self.mu, gamma) * self.active
+            gates.flags.writeable = slopes.flags.writeable = False
+            self._gate_memo = (key, gates, slopes)
+        return self._gate_memo
 
     def gates(self, gamma: float) -> np.ndarray:
-        return smooth_step(self.mu, gamma) * self.active
+        return self._gate_values(gamma)[1]
 
-    def monotone(self, raw: np.ndarray) -> np.ndarray:
-        return raw
+    def gate_slopes(self, gamma: float) -> np.ndarray:
+        """d gates / d mu: 0 wherever a gate is saturated or switched off."""
+        return self._gate_values(gamma)[2]
 
-    def monotone_grad(self, d_tabs: np.ndarray, raw: np.ndarray, grads: dict) -> np.ndarray:
+    def monotone(self, tabs: np.ndarray) -> np.ndarray | None:
+        return None
+
+    def monotone_grad(self, d_tabs: np.ndarray, raw: np.ndarray | None, grads: dict) -> np.ndarray:
         return d_tabs
 
 
@@ -179,6 +213,13 @@ class FeatureStack(_Stack):
     active: np.ndarray  # (p,) bool
 
     prefix = "feat"
+
+    def __post_init__(self) -> None:
+        # The monotone features, then (feature, observed bins, direction) of
+        # each; the directions and bin counts are fixed when the stack is built.
+        self._mono_idx = np.flatnonzero(self.mono_dir)
+        self._mono = [(int(j), int(self.n_bins[j]), float(self.mono_dir[j]))
+                      for j in self._mono_idx]
 
     @property
     def n_features(self) -> int:
@@ -210,36 +251,31 @@ class FeatureStack(_Stack):
         """Each feature's operator applied to its (M, d) table in `x`."""
         return np.matmul(self.smooth, x, out=out)
 
-    def monotone(self, raw: np.ndarray) -> np.ndarray:
-        out = raw
-        idx = np.flatnonzero(self.mono_dir)
-        if idx.size:
-            out = raw.copy()
-            for j in idx:
-                n = int(self.n_bins[j])
-                d = float(self.mono_dir[j])
-                r = raw[j, 1 : n + 1, 0]
-                out[j, 1 : n + 1, 0] = self.mono_off[j] + d * np.cumsum(r**2)
-                out[j, 0, 0] = self.mono_off[j] + raw[j, 0, 0]
-        return out
+    def monotone(self, tabs: np.ndarray) -> np.ndarray | None:
+        """Apply the monotone transform to `tabs` in place. Returns the
+        monotone features' outputs before it, (k, M), which `monotone_grad`
+        reads, or None without monotone features."""
+        if not self._mono:
+            return None
+        raw = tabs[self._mono_idx, :, 0]
+        for r, (j, n, d) in zip(raw, self._mono):
+            tabs[j, 1 : n + 1, 0] = self.mono_off[j] + d * np.cumsum(r[1 : n + 1] ** 2)
+            tabs[j, 0, 0] = self.mono_off[j] + r[0]
+        return raw
 
-    def monotone_grad(self, d_tabs: np.ndarray, raw: np.ndarray, grads: dict) -> np.ndarray:
-        """Undo the monotone transform where it applies; writes the offsets' gradient."""
-        d_raw = d_tabs
+    def monotone_grad(self, d_tabs: np.ndarray, raw: np.ndarray | None, grads: dict) -> np.ndarray:
+        """Undo the monotone transform in place where it applies, given
+        `monotone`'s return; writes the offsets' gradient."""
         d_off = grads["feat_off"]
         d_off[...] = 0.0
-        idx = np.flatnonzero(self.mono_dir)
-        if idx.size:
-            d_raw = d_tabs.copy()
-            for j in idx:
-                n = int(self.n_bins[j])
-                d = float(self.mono_dir[j])
-                dout = d_tabs[j, : n + 1, 0]
-                r = raw[j, 1 : n + 1, 0]
-                tail = np.cumsum(dout[1:][::-1])[::-1]
-                d_raw[j, 1 : n + 1, 0] = d * 2.0 * r * tail
-                d_off[j] = dout.sum()
-        return d_raw
+        if not self._mono:
+            return d_tabs
+        for r, (j, n, d) in zip(raw, self._mono):
+            dout = d_tabs[j, : n + 1, 0]
+            tail = np.cumsum(dout[1:][::-1])[::-1]
+            d_off[j] = dout.sum()
+            d_tabs[j, 1 : n + 1, 0] = d * 2.0 * r[1 : n + 1] * tail
+        return d_tabs
 
 
 @dataclass
@@ -340,18 +376,25 @@ class ModelCore:
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation, applied to `z` in place."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == "identity":
         return z
     raise ConfigError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) without overflow: e = exp(-|x|) is at most 1 on both sides."""
+    """1 / (1 + exp(-x)) without overflow: e = exp(-|x|) is at most 1 on both sides.
+
+    It is 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, in one pass:
+    the numerator max(e, x >= 0) is 1 on the first side and e on the other.
+    """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.exp(-np.abs(x), out=np.empty_like(x))  # an array for 0-d x too
+    d = 1.0 + e
+    np.maximum(e, x >= 0, out=e)
+    return np.divide(e, d, out=e)
 
 
 def _link(eta: np.ndarray, link: str) -> np.ndarray:
@@ -366,23 +409,28 @@ def _link(eta: np.ndarray, link: str) -> np.ndarray:
 
 
 def _mlp_tables(smooth_lhs, weights, activation):
-    """Smooth the table, then run the subnetwork on every bin row."""
+    """Run the subnetwork on every row of the smoothed table; each layer's
+    bias and activation apply in place on its product."""
     h = smooth_lhs
     hidden = []
     for W, b in weights[:-1]:
-        h = _act(h @ W + b[:, None, :], activation)
-        hidden.append(h)
+        h = h @ W
+        h += b[:, None, :]
+        hidden.append(_act(h, activation))
     W, b = weights[-1]
-    raw = h @ W + b[:, None, :]
+    raw = h @ W
+    raw += b[:, None, :]
     return raw, hidden
 
 
 def _stack_tables(core: ModelCore, stack):
     """A stack's ungated tables (n, cells, out), then what backprop reads:
-    the tables before `monotone`, the hidden layers and the smoothed embeddings."""
+    the monotone terms' outputs before `monotone` (or None), the hidden
+    layers and the smoothed embeddings."""
     sm = stack.smoothed(core.feats, stack.emb)
-    raw, hidden = _mlp_tables(sm, stack.weights, core.activation)
-    return stack.monotone(raw), raw, hidden, sm
+    tabs, hidden = _mlp_tables(sm, stack.weights, core.activation)
+    raw = stack.monotone(tabs)
+    return tabs, raw, hidden, sm
 
 
 def bin_tables(core: ModelCore) -> np.ndarray:
@@ -408,11 +456,12 @@ def flat_pair_codes(core: ModelCore, codes: np.ndarray) -> np.ndarray | None:
 class StackPass:
     """One stack's part of a forward pass, as `backward_pass` reads it."""
 
-    codes: np.ndarray  # (B, n) cell codes
+    cells: np.ndarray  # (B, n) each row's cell per term, as a row of the (n * cells, out) tables
     vals: np.ndarray  # (B, n, out) ungated outputs
-    raw: np.ndarray  # (n, cells, out) tables before the monotone transform
+    raw: np.ndarray | None  # (k, cells) the k monotone terms' outputs before the transform, if any
     hidden: list
     sm: np.ndarray  # (n, cells, d) smoothed embeddings
+    gates: np.ndarray  # (n,) the gate values the pass read
 
 
 @dataclass
@@ -448,9 +497,14 @@ def forward_pass(
         if cells is None:
             cells = stack.cell_codes(core.feats, codes)
         tabs, raw, hidden, sm = _stack_tables(core, stack)
-        vals = tabs[np.arange(tabs.shape[0])[None, :], cells]  # (B, n, out)
-        eta = eta + np.einsum("bto,t->bo", vals, stack.gates(gamma))
-        runs[stack.prefix] = StackPass(cells, vals, raw, hidden, sm)
+        n, C, out = tabs.shape
+        cells = cells + np.arange(n) * C
+        # (B, n, out) in the memory order of `cells` (pair cells are column
+        # major), which `take` would not keep: einsum's sums follow it.
+        vals = tabs.reshape(n * C, out)[cells]
+        gates = stack.gates(gamma)
+        eta = eta + np.einsum("bto,t->bo", vals, gates)
+        runs[stack.prefix] = StackPass(cells, vals, raw, hidden, sm, gates)
     return ForwardCache(eta=eta, stacks=runs)
 
 
@@ -464,23 +518,23 @@ def _mlp_backward(d_raw, sm, hidden, weights, activation, out):
         np.matmul(acts[l].transpose(0, 2, 1), dh, out=dW)
         dh.sum(axis=1, out=db)
         dh = dh @ W.transpose(0, 2, 1)
-        if l > 0:
-            if activation == "relu":
-                dh = dh * (acts[l] > 0)
-            # identity: pass through
+        if l > 0 and activation == "relu":  # identity passes dh through
+            np.multiply(dh, acts[l] > 0, out=dh)
     return dh
 
 
-def _scatter_bins(d_vals: np.ndarray, codes: np.ndarray, M: int) -> np.ndarray:
-    """Accumulate per-sample output grads into per-bin tables.
+def _scatter_bins(d_vals: np.ndarray, cells: np.ndarray, shape: tuple) -> np.ndarray:
+    """Accumulate per-sample output grads into tables of `shape`, (n, cells, out).
 
-    One bincount over (feature, bin, output) cells; it adds the rows in
-    order, as np.add.at did, so the sums are bit-identical to it.
+    `cells` holds each sample's row of the tables flattened to (n * cells,
+    out), as `StackPass.cells` does. One bincount over (row, output)
+    pairs; it adds the samples in order, as np.add.at did, so the sums are
+    bit-identical to it.
     """
-    _, p, out = d_vals.shape
-    flat = ((np.arange(p)[None, :] * M + codes)[:, :, None] * out + np.arange(out)).ravel()
-    acc = np.bincount(flat, weights=d_vals.ravel(), minlength=p * M * out)
-    return acc.reshape(p, M, out)
+    out = shape[-1]
+    flat = cells if out == 1 else cells[..., None] * out + np.arange(out)
+    acc = np.bincount(flat.ravel(), weights=d_vals.ravel(), minlength=math.prod(shape))
+    return acc.reshape(shape)
 
 
 def backward_pass(
@@ -499,30 +553,32 @@ def backward_pass(
     at mu = gamma/2, where the smooth step's slope is exactly 0, so its
     gradient is exactly 0 and a training phase can train its whole stack.
     """
-    params = param_dict(core)
-    grads: dict[str, np.ndarray] = {"flat": np.empty(core.flat.size)}
-    views = dict(zip(params, flat_views(grads["flat"], [a.shape for a in params.values()])))
+    flat = np.empty(core.flat.size)
+    grads: dict[str, np.ndarray] = {"flat": flat}
     reg = {"feat": reg_param, "pair": pair_reg_param}
+    end = 0
     for stack, gamma in core.stacks():
+        names, arrays = zip(*stack.learnable())
+        start, end = end, end + sum(a.size for a in arrays)
         run = cache.stacks.get(stack.prefix)
         if run is None:
             continue
         pre = stack.prefix
-        g = {k: v for k, v in views.items() if k.startswith(pre + "_")}
+        g = dict(zip(names, flat_views(flat[start:end], [a.shape for a in arrays])))
         grads.update(g)
-        sgrad = smooth_step_grad(stack.mu, gamma) * stack.active
+        sgrad = stack.gate_slopes(gamma)
         d_gate = np.einsum("bo,bto->t", d_eta, run.vals)
         g[f"{pre}_mu"][...] = d_gate * sgrad + reg[pre] * sgrad
-        d_vals = d_eta[:, None, :] * stack.gates(gamma)[None, :, None]
-        d_tabs = _scatter_bins(d_vals, run.codes, run.raw.shape[1])
+        d_vals = d_eta[:, None, :] * run.gates[None, :, None]
+        d_tabs = _scatter_bins(d_vals, run.cells, run.sm.shape[:2] + d_eta.shape[1:])
         dsm = _mlp_backward(
             stack.monotone_grad(d_tabs, run.raw, g), run.sm, run.hidden, stack.weights,
             core.activation,
             [(g[f"{pre}_W{l}"], g[f"{pre}_b{l}"]) for l in range(len(stack.weights))],
         )
         stack.smoothed(core.feats, dsm, out=g[f"{pre}_emb"])
-    for name, g in grads.items():
-        if name != "flat" and not np.all(np.isfinite(g)):
+        if not np.isfinite(flat[start:end]).all():
+            name = next(k for k, v in g.items() if not np.isfinite(v).all())
             raise TrainingError(f"non-finite gradient in {name}")
     return grads
 

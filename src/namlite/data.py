@@ -9,6 +9,7 @@ for missing values in all features.
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -330,19 +331,47 @@ def default_min_samples_per_bin(n_samples: int) -> int:
 def _continuous_edges(
     x: np.ndarray, max_bins: int, min_samples_per_bin: int
 ) -> tuple[float, ...]:
+    """Quantile edges at i/max_bins, merged until every bin holds at least
+    `min_samples_per_bin` of `x`.
+
+    Each merge takes the smallest bin, the leftmost of equals, into its
+    right neighbour (the last bin into its left one), and their counts
+    add. So the values are counted once. Empty bins go first, all at
+    once: a run of them joins the bin after it, a run at the end the bin
+    before it. The rest merge through a heap of (count, position).
+    """
     qs = np.arange(1, max_bins) / max_bins
     edges = np.unique(np.quantile(x, qs))
-    while edges.size > 0:
-        idx = np.searchsorted(edges, x, side="left")
-        counts = np.bincount(idx, minlength=edges.size + 1)
-        b = int(np.argmin(counts))
-        if counts[b] >= min_samples_per_bin:
+    counts = np.bincount(np.searchsorted(edges, x, side="left"), minlength=edges.size + 1)
+    if counts.min() >= min_samples_per_bin:
+        return tuple(float(e) for e in edges)
+    # Edge i parts bins i and i + 1; an empty bin i drops it, and so does
+    # the bin before a trailing empty run.
+    keep = counts[:-1] > 0
+    keep[np.flatnonzero(counts)[-1] :] = False
+    edges, count = edges[keep], counts[counts > 0].tolist()
+    # Bins are named by their first position; a merge keeps the left name,
+    # so names stay in order and the heap breaks ties to the left.
+    last = len(count) - 1
+    nxt, prev = list(range(1, last + 2)), list(range(-1, last))
+    heap = [(c, b) for b, c in enumerate(count)]
+    heapq.heapify(heap)
+    keep = [True] * last
+    for _ in range(last):  # at most one merge per edge
+        c, b = heapq.heappop(heap)
+        while count[b] != c:  # stale: b grew or was merged away
+            c, b = heapq.heappop(heap)
+        if c >= min_samples_per_bin:
             break
-        # Merge the under-filled bin into its right neighbor; the last bin
-        # merges left instead.
-        drop = b - 1 if b == edges.size else b
-        edges = np.delete(edges, drop)
-    return tuple(float(e) for e in edges)
+        left, right = (prev[b], b) if nxt[b] > last else (b, nxt[b])
+        count[left] += count[right]
+        count[right] = -1
+        keep[right - 1] = False
+        nxt[left] = nxt[right]
+        if nxt[right] <= last:
+            prev[nxt[right]] = left
+        heapq.heappush(heap, (count[left], left))
+    return tuple(float(e) for e, k in zip(edges, keep) if k)
 
 
 def fit_bins(

@@ -214,8 +214,12 @@ class _MseObjective:
         self.out_dim = 1
 
     def loss_grad(self, eta, rows):
-        err = eta[:, 0] - self.y[rows]
-        return float(np.mean(err**2)), (2.0 * err / rows.size)[:, None]
+        """The mean squared error and its gradient; the sum and the two
+        divisions are the ones np.mean(err**2) and 2 * err / n make."""
+        err = eta[:, 0] - self.y.take(rows)
+        grad = 2.0 * err
+        grad /= rows.size
+        return float(np.add.reduce(np.square(err, out=err)) / rows.size), grad[:, None]
 
 
 class _BceObjective:
@@ -227,7 +231,7 @@ class _BceObjective:
 
     def loss_grad(self, eta, rows):
         z = eta[:, 0]
-        y = self.y[rows]
+        y = self.y.take(rows)
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
         return loss, ((sigmoid(z) - y) / rows.size)[:, None]
 
@@ -242,8 +246,8 @@ class _IpcwObjective:
 
     def loss_grad(self, eta, rows):
         p = sigmoid(eta)
-        w1 = self.w_alive[rows]
-        w2 = self.w_event[rows]
+        w1 = self.w_alive.take(rows, axis=0)
+        w2 = self.w_event.take(rows, axis=0)
         loss = float(np.mean(w1 * p**2 + w2 * (1.0 - p) ** 2))
         d_p = (2.0 * w1 * p - 2.0 * w2 * (1.0 - p)) / p.size
         return loss, d_p * p * (1.0 - p)
@@ -465,12 +469,16 @@ class _Split:
             off = None if feats else forward_pass(core, codes, compute_pairs=False).eta
             return codes, pc, off
 
-        def forward(inputs, rows=slice(None)):
-            codes, pc, off = (None if a is None else a[rows] for a in inputs)
+        def forward(inputs, rows=None):
+            """The pass over every row of a fold's inputs, or over `rows` of them."""
+            if rows is not None:
+                inputs = [a if a is None else a.take(rows, axis=0) for a in inputs]
+            codes, pc, off = inputs
             return forward_pass(core, codes, pair_codes=pc, eta_offset=off,
                                 compute_feats=feats, compute_pairs=pairs)
 
         tr_in, val_in = fold(self.codes_tr), fold(self.codes_val)
+        regs = phase.regs.get("feat", 0.0), phase.regs.get("pair", 0.0)
         adam = Adam(core, phase.regs, cfg.learning_rate)
         best = _snapshot(core)
         best_val = np.inf
@@ -489,8 +497,7 @@ class _Split:
                     raise TrainingError(
                         f"training loss diverged at epoch {epoch} ({phase.name} phase)"
                     )
-                grads = backward_pass(core, cache, d_eta, phase.regs.get("feat", 0.0),
-                                      phase.regs.get("pair", 0.0))
+                grads = backward_pass(core, cache, d_eta, *regs)
                 adam.step(grads)
                 epoch_loss += loss * rows.size / n_tr
             _prune(core, adam, phase)

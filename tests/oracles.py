@@ -1,9 +1,12 @@
 """Reference implementations that tests check the batched code against.
 
 Each one computes, slowly and directly, something the package computes
-in batches: the smoothing of one bin or pair cell, the monotone transform
-of one shape, a fitted split's prediction per split, and the gradients
-of a core by central differences.
+in batches or in fewer passes: the smoothing of one bin or pair cell, the
+monotone transform of one shape, a fitted split's prediction per split,
+the forward pass gathered by (term, cell) index pairs, the gradients of
+a core by central differences and by the per-entry backward pass, the
+sigmoid as a pick between two branches, and the bin edge merge one edge
+per pass.
 """
 
 import numpy as np
@@ -14,12 +17,15 @@ from namlite.core import (
     backward_pass,
     bin_tables,
     flat_pair_codes,
+    flat_views,
     forward_pass,
     pair_bin_tables,
     param_dict,
+    smooth_step,
+    smooth_step_grad,
     smoothing_operator,
 )
-from namlite.errors import ConfigError
+from namlite.errors import ConfigError, TrainingError
 
 # --- single-sample smoothing and monotone ops ---------------------------------
 
@@ -85,6 +91,23 @@ def predict_linked(split, codes: np.ndarray) -> np.ndarray:
     return _link(predict_eta(split, codes), split.core.link)
 
 
+# --- the forward pass by (term, cell) index pairs --------------------------------
+
+
+def forward_eta(core, codes, pair_codes=None):
+    """eta of a full forward pass, each stack's outputs gathered from its
+    ungated tables by (term, cell) index pairs, then weighted by its gates."""
+    eta = np.zeros((codes.shape[0], core.out_dim))
+    builds, given = (bin_tables, pair_bin_tables), (codes, pair_codes)
+    for (stack, gamma), build, cells in zip(core.stacks(), builds, given):
+        if cells is None:
+            cells = stack.cell_codes(core.feats, codes)
+        tabs = build(core)
+        vals = tabs[np.arange(tabs.shape[0])[None, :], cells]
+        eta = eta + np.einsum("bto,t->bo", vals, smooth_step(stack.mu, gamma) * stack.active)
+    return eta
+
+
 # --- finite-difference gradients ------------------------------------------------
 
 
@@ -119,3 +142,101 @@ def fd_worst(core, codes, target, reg=0.0, preg=0.0, h=1e-4):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-3)
         worst = max(worst, float(np.max(np.abs(a - fd) / denom)))
     return worst
+
+
+# --- the per-entry backward pass -------------------------------------------------
+
+
+def backward_reference(core, cache, d_eta, reg_param=0.0, pair_reg_param=0.0):
+    """`backward_pass` computed entry by entry: the gates and their slopes
+    from `smooth_step`, views of the gradient vector by `param_dict` name
+    picked by prefix, the scatter by np.add.at, the monotone and subnetwork
+    backward on copies, and one finiteness check per entry.
+
+    It reads from the cache only each row's cells, the gathered outputs,
+    the hidden layers and the smoothed embeddings; the outputs before the
+    monotone transform are recomputed from the last hidden layer.
+    """
+    params = param_dict(core)
+    grads = {"flat": np.empty(core.flat.size)}
+    views = dict(zip(params, flat_views(grads["flat"], [a.shape for a in params.values()])))
+    reg = {"feat": reg_param, "pair": pair_reg_param}
+    for stack, gamma in core.stacks():
+        run = cache.stacks.get(stack.prefix)
+        if run is None:
+            continue
+        pre = stack.prefix
+        g = {k: v for k, v in views.items() if k.startswith(pre + "_")}
+        grads.update(g)
+        sgrad = smooth_step_grad(stack.mu, gamma) * stack.active
+        d_gate = np.einsum("bo,bto->t", d_eta, run.vals)
+        g[f"{pre}_mu"][...] = d_gate * sgrad + reg[pre] * sgrad
+        gates = smooth_step(stack.mu, gamma) * stack.active
+        d_vals = d_eta[:, None, :] * gates[None, :, None]
+        n, cells, out = run.sm.shape[0], run.sm.shape[1], d_eta.shape[1]
+        d_tabs = np.zeros((n * cells, out))
+        np.add.at(d_tabs, run.cells.ravel(), d_vals.reshape(-1, out))
+        d_tabs = d_tabs.reshape(n, cells, out)
+        acts = [run.sm] + run.hidden
+        W, b = stack.weights[-1]
+        raw = acts[-1] @ W + b[:, None, :]
+        if pre == "feat":
+            d_tabs = _monotone_grad_reference(stack, d_tabs, raw, g["feat_off"])
+        dh = d_tabs
+        for l in range(len(stack.weights) - 1, -1, -1):
+            W, _ = stack.weights[l]
+            np.matmul(acts[l].transpose(0, 2, 1), dh, out=g[f"{pre}_W{l}"])
+            dh.sum(axis=1, out=g[f"{pre}_b{l}"])
+            dh = dh @ W.transpose(0, 2, 1)
+            if l > 0 and core.activation == "relu":
+                dh = dh * (acts[l] > 0)
+        stack.smoothed(core.feats, dh, out=g[f"{pre}_emb"])
+    for name, g in grads.items():
+        if name != "flat" and not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient in {name}")
+    return grads
+
+
+def _monotone_grad_reference(feats, d_tabs, raw, d_off):
+    d_raw = d_tabs.copy()
+    d_off[...] = 0.0
+    for j in np.flatnonzero(feats.mono_dir):
+        n = int(feats.n_bins[j])
+        d = float(feats.mono_dir[j])
+        dout = d_tabs[j, : n + 1, 0]
+        r = raw[j, 1 : n + 1, 0]
+        tail = np.cumsum(dout[1:][::-1])[::-1]
+        d_raw[j, 1 : n + 1, 0] = d * 2.0 * r * tail
+        d_off[j] = dout.sum()
+    return d_raw
+
+
+# --- the sigmoid as a pick between two branches ------------------------------------
+
+
+def sigmoid_where(x):
+    """1 / (1 + e) where x >= 0, else e / (1 + e), with e = exp(-|x|):
+    both branches in full, then np.where picks."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# --- bin edge merge, one edge per pass ----------------------------------------------
+
+
+def continuous_edges_loop(x, max_bins: int, min_samples_per_bin: int) -> tuple[float, ...]:
+    """Quantile edges, then while the smallest bin (the first of equals) is
+    under `min_samples_per_bin`, drop its right edge (the last bin its left
+    one) and count every value again."""
+    qs = np.arange(1, max_bins) / max_bins
+    edges = np.unique(np.quantile(x, qs))
+    while edges.size > 0:
+        idx = np.searchsorted(edges, x, side="left")
+        counts = np.bincount(idx, minlength=edges.size + 1)
+        b = int(np.argmin(counts))
+        if counts[b] >= min_samples_per_bin:
+            break
+        drop = b - 1 if b == edges.size else b
+        edges = np.delete(edges, drop)
+    return tuple(float(e) for e in edges)

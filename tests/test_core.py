@@ -9,6 +9,7 @@ from namlite.core import (
     KernelConfig,
     backward_pass,
     bin_tables,
+    flat_pair_codes,
     forward_pass,
     init_core,
     kernel_weights,
@@ -21,7 +22,8 @@ from namlite.core import (
 from namlite.errors import ConfigError, TrainingError
 
 from conftest import random_codes, tiny_core
-from oracles import fd_worst, monotone_output, pair_smoothed_embedding, smoothed_embedding
+from oracles import (backward_reference, fd_worst, forward_eta, monotone_output,
+                     pair_smoothed_embedding, sigmoid_where, smoothed_embedding)
 
 GAMMAS = (0.01, 1.0, 100.0)
 
@@ -351,9 +353,10 @@ def test_scatter_bins_sums_like_add_at(out):
     rng = np.random.default_rng(6)
     codes = rng.integers(0, 7, size=(50, 4))
     d_vals = rng.normal(size=(50, 4, out))
+    cells = np.arange(4)[None, :] * 7 + codes
     acc = np.zeros((4 * 7, out))
-    np.add.at(acc, (np.arange(4)[None, :] * 7 + codes).ravel(), d_vals.reshape(-1, out))
-    np.testing.assert_array_equal(_scatter_bins(d_vals, codes, 7), acc.reshape(4, 7, out))
+    np.add.at(acc, cells.ravel(), d_vals.reshape(-1, out))
+    np.testing.assert_array_equal(_scatter_bins(d_vals, cells, (4, 7, out)), acc.reshape(4, 7, out))
 
 
 class TestBackward:
@@ -412,11 +415,89 @@ class TestBackward:
         assert np.any(grads["feat_emb"][1, 0] != 0.0)
 
     def test_nonfinite_gradient_raises(self, rng):
-        core = tiny_core(rng)
+        """The message names the first non-finite array in layout order."""
+        core = tiny_core(rng, pairs=[(0, 1), (1, 2)])
         codes = random_codes(rng, 4, core.feats.n_bins)
-        cache = forward_pass(core, codes)
-        with np.errstate(invalid="ignore"), pytest.raises(TrainingError):
-            backward_pass(core, cache, np.full((4, 1), np.inf))
+        full, pairs_only = forward_pass(core, codes), forward_pass(core, codes, compute_feats=False)
+        cases = [
+            # Without monotone features the offsets' gradient is 0, so the
+            # embeddings come first, and the first stack's before the second's.
+            (full, np.inf, {}, "feat_emb"),
+            (pairs_only, np.inf, {}, "pair_emb"),
+            # An infinite regularizer reaches only the gates, each stack's last array.
+            (full, 1.0, dict(reg_param=np.inf), "feat_mu"),
+            (full, 1.0, dict(pair_reg_param=np.inf), "pair_mu"),
+        ]
+        for cache, d, regs, name in cases:
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    TrainingError, match=rf"non-finite gradient in {name}$"):
+                backward_pass(core, cache, np.full((4, 1), d), **regs)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_forward_eta_matches_the_index_pair_gather():
+    """The flat gather must keep the memory order of the cells, as the
+    (term, cell) gather does: pair cells are column major, and einsum's
+    sums follow the order of its operand."""
+    rng = np.random.default_rng(53)
+    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    core = tiny_core(rng, n_bins=(6, 3, 8, 5, 7), pairs=pairs)
+    codes = random_codes(rng, 150, core.feats.n_bins)
+    cells = flat_pair_codes(core, codes)
+    assert not cells.flags.c_contiguous
+    got = forward_pass(core, codes, pair_codes=cells).eta
+    np.testing.assert_array_equal(_bits(got), _bits(forward_eta(core, codes, cells)))
+
+
+class TestBackwardMatchesReference:
+    """`backward_pass` against the per-entry pass in `oracles`, bit for bit."""
+
+    def _check(self, core, cache, d_eta, regs):
+        got = backward_pass(core, cache, d_eta, *regs)
+        want = backward_reference(core, cache, d_eta, *regs)
+        assert list(got) == list(want)
+        for name in got:
+            if name != "flat":
+                np.testing.assert_array_equal(_bits(got[name]), _bits(want[name]), err_msg=name)
+
+    def test_mains_with_a_monotone_feature(self):
+        rng = np.random.default_rng(50)
+        core = tiny_core(rng, n_bins=(5, 3, 4), mono_dir=np.array([0, -1, 1]),
+                         gates_trainable=False)
+        core.feats.mono_off[:] = rng.normal(size=3)
+        codes = random_codes(rng, 16, core.feats.n_bins)
+        cache = forward_pass(core, codes, compute_pairs=False)
+        self._check(core, cache, rng.normal(size=(16, 1)), (0.0, 0.0))
+
+    def test_pairs_on_frozen_mains(self):
+        rng = np.random.default_rng(51)
+        core = tiny_core(rng, n_bins=(5, 3, 4), out_dim=2, pairs=[(0, 1), (1, 2)])
+        core.pairs.mu[:] = core.pair_gamma / 2  # fixed at 1
+        codes = random_codes(rng, 16, core.feats.n_bins)
+        mains = forward_pass(core, codes, compute_pairs=False).eta
+        cache = forward_pass(core, codes, eta_offset=mains, compute_feats=False)
+        self._check(core, cache, rng.normal(size=(16, 2)), (0.0, 0.0))
+
+    def test_selection_before_and_after_a_pruned_row(self):
+        """Trainable gates, and the same core again after Adam-like in-place
+        moves of mu and after pruning: the gate memo must see both."""
+        rng = np.random.default_rng(52)
+        core = tiny_core(rng, n_bins=(5, 3, 4), pairs=[(0, 1), (0, 2)],
+                         mono_dir=np.array([0, 0, 1]))
+        core.feats.mu[:] = [0.1, -0.2, core.gamma]
+        codes = random_codes(rng, 16, core.feats.n_bins)
+        d_eta = rng.normal(size=(16, 1))
+        for step in range(3):
+            if step == 1:
+                core.feats.mu -= 0.05
+                core.pairs.mu += 0.01
+            if step == 2:
+                core.feats.active[1] = False
+                core.pairs.active[0] = False
+            self._check(core, forward_pass(core, codes), d_eta, (0.07, 0.03))
 
 
 def _masked_sigmoid(x):
@@ -460,6 +541,16 @@ class TestPartialPasses:
 
 
 class TestSigmoid:
+    def test_bit_identical_to_the_two_branch_form(self):
+        """The one-pass form gives the bits of both branches computed in full
+        and picked by np.where, on edge values and on random draws."""
+        edge = np.array([0.0, 800.0, 745.2, 709.8, np.nan, np.inf, 1e-300, 5e-324, 36.7, 37.5])
+        rng = np.random.default_rng(10)
+        for x in [np.concatenate([edge, -edge])] + [rng.normal(scale=s, size=100_000)
+                                                    for s in (1e-3, 1.0, 50.0)]:
+            np.testing.assert_array_equal(_bits(sigmoid(x)), _bits(sigmoid_where(x)))
+        assert isinstance(sigmoid(0.5), np.ndarray) and sigmoid(0.5) == sigmoid_where(0.5)
+
     def test_bit_identical_to_masked_formula(self):
         rng = np.random.default_rng(9)
         edge = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, -1e-300, 709.8, -745.2,

@@ -2,6 +2,7 @@
 
 import math
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from namlite.data import (
     BinnedMatrix,
     FeatureSchema,
     _category_keys,
+    _continuous_edges,
     _first_bad_token,
     _parse_numeric,
     apply_schema_override,
@@ -25,6 +27,8 @@ from namlite.data import (
     transform,
 )
 from namlite.errors import ConfigError, DataError
+
+from oracles import continuous_edges_loop
 
 
 def _quantile_oracle(sorted_x, q):
@@ -183,6 +187,39 @@ class TestFitBins:
         codes = transform({"x": values}, [bm]).codes[:, 0]
         counts = np.bincount(codes, minlength=bm.total_bins)
         assert np.all(counts[1:] >= floor)
+
+    @pytest.mark.parametrize("kind", ["uniform", "few_values", "point_mass", "rounded"])
+    def test_edges_match_the_one_edge_per_pass_merge(self, kind):
+        """The counted merge gives the loop's edges, ties and empty bins included."""
+        rng = np.random.default_rng(["uniform", "few_values", "point_mass", "rounded"].index(kind))
+        for _ in range(150):
+            n = int(rng.integers(1, 400))
+            x = {
+                "uniform": lambda: rng.uniform(size=n),
+                "few_values": lambda: rng.integers(0, rng.integers(1, 8), size=n).astype(float),
+                "point_mass": lambda: np.where(rng.random(n) < 0.7, 0.0, rng.normal(size=n)),
+                "rounded": lambda: np.round(rng.exponential(size=n), 1),
+            }[kind]()
+            max_bins, floor = int(rng.integers(2, 200)), int(rng.integers(0, 40))
+            want = continuous_edges_loop(x, max_bins, floor)
+            assert _continuous_edges(x, max_bins, floor) == want
+
+    def test_huge_max_bins_on_few_rows_is_quick(self):
+        """One count, then merges over at most as many bins as rows: the
+        one-edge-per-pass loop ran for minutes on this column."""
+        def too_slow(signum, frame):
+            raise TimeoutError("fit_bins ran for more than 60 s")
+
+        x = np.random.default_rng(3).uniform(size=120)
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(60)
+        try:
+            bm = fit_bins({"x": x}, [FeatureSchema("x", "continuous")], max_bins=1_000_000)[0]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        codes = transform({"x": x}, [bm]).codes[:, 0]
+        assert np.bincount(codes)[1:].min() >= default_min_samples_per_bin(120)
 
 
 # --- transform ---------------------------------------------------------------
