@@ -28,6 +28,21 @@ from namlite.train import TrainConfig, fit, predict
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _check_golden(name: str):
+    """Load the committed model `name`; it must save back to the same text,
+    keep its recorded hash and predict its recorded values on the recorded
+    16-row table (missing values and an unseen category included)."""
+    text = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    expected = json.loads((GOLDEN / f"{name}_expected.json").read_text(encoding="utf-8"))
+    ens = loads_model(text)
+    assert dumps_model(ens) == text
+    assert model_hash(ens) == expected["model_hash"]
+    np.testing.assert_allclose(
+        ens.predict(expected["table"]), expected["predictions"], rtol=0, atol=1e-12
+    )
+    return ens
+
+
 @pytest.fixture(scope="module")
 def trained():
     rng = np.random.default_rng(0)
@@ -137,14 +152,31 @@ class TestRoundTrip:
         and 2 splits; its hash and its predictions on a 16-row table with
         missing values and an unseen category were recorded with it.
         """
-        text = (GOLDEN / "pair_model.json").read_text(encoding="utf-8")
-        expected = json.loads((GOLDEN / "pair_model_expected.json").read_text(encoding="utf-8"))
-        ens = loads_model(text)
-        assert dumps_model(ens) == text
-        assert model_hash(ens) == expected["model_hash"]
-        np.testing.assert_allclose(
-            ens.predict(expected["table"]), expected["predictions"], rtol=0, atol=1e-12
-        )
+        ens = _check_golden("pair_model")
+        assert ens.selected_pairs == [("a", "b")]
+
+    def test_golden_survival_model_is_pinned(self):
+        """A committed survival model: a 24-time grid, so a 24-wide output, and a Cox censor.
+
+        It was fitted on 240 rows with max_bins=6, embedding_dim=4,
+        hidden_sizes=(8,) and 2 splits; its predictions are (16, 24).
+        """
+        ens = _check_golden("survival_model")
+        assert ens.task == "survival" and ens.config.censor_estimator == "cox"
+        assert ens.eval_times.shape == (24,)
+        assert all(sp.core.out_dim == 24 for sp in ens.splits)
+
+    def test_golden_monotone_model_is_pinned(self):
+        """A committed mains-only regression with an increasing and a decreasing feature.
+
+        It was fitted on 240 rows with max_bins=8, embedding_dim=4,
+        hidden_sizes=(8,) and 2 splits.
+        """
+        ens = _check_golden("monotone_model")
+        assert ens.task == "regression" and not ens.selected_pairs
+        for sp in ens.splits:
+            assert sp.core.pairs is None
+            np.testing.assert_array_equal(sp.core.feats.mono_dir, [1, -1, 0])
 
     def test_loaded_model_keeps_bin_labels(self, trained):
         ens, _ = trained
