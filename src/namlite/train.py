@@ -744,6 +744,9 @@ def _select_pairs(
     if not universe:
         return []
     gamma = default_gamma(split.codes_tr.shape[0], cfg.batch_size, cfg.embedding_dim)
+    # The screening width holds only while the candidates train: the chosen
+    # pairs get the core's own width back, as on every other split.
+    width = core.pair_gamma
     _attach_pairs(split, core, universe, rng, gamma / 4.0, trainable_gates=True)
     split.run(core, _Phase("pair-select", {"pair": cfg.pair_select_reg}), shuffle_rng)
     pair_stack, pair_gamma = core.stacks()[-1]
@@ -752,6 +755,7 @@ def _select_pairs(
     order = sorted(open_, key=lambda i: (-gates[i], universe[i]))
     chosen = sorted(universe[i] for i in order[: cfg.num_pairs])
     core.attach_pairs(None)
+    core.pair_gamma = width
     return chosen
 
 

@@ -368,6 +368,19 @@ class TestFit:
         assert sorted(calls) == [False, False, True]
         assert len(ens.splits) == 3
 
+    def test_screened_split_saves_the_same_pair_width(self):
+        """Split 0 screens its candidates at a narrower width; the pairs it
+        keeps get the width and the fixed gate (mu = width/2) of the others."""
+        rng = np.random.default_rng(15)
+        table = {c: rng.normal(size=300) for c in ("a", "b", "c")}
+        y = np.sign(table["a"]) * np.sign(table["b"]) + 0.05 * rng.normal(size=300)
+        ens = fit(table, y, _fast_cfg(n_val_splits=3, num_pairs=1, max_epochs=3))
+        assert ens.selected_pairs == [("a", "b")]
+        widths = [sp.core.pair_gamma for sp in ens.splits]
+        assert widths == [widths[-1]] * 3
+        for sp in ens.splits:
+            np.testing.assert_array_equal(sp.core.pairs.mu, widths[-1] / 2)
+
     def test_pair_search_picks_interacting_pair(self):
         rng = np.random.default_rng(15)
         table = {c: rng.normal(size=500) for c in ("a", "b", "c")}
