@@ -43,6 +43,18 @@ once per stack. `backward_pass` takes its gradient views from the
 `learnable()` lists of the stacks the cache ran and checks each stack's
 written slice of the gradient vector for finiteness once, naming the
 first non-finite array only if it fails.
+
+A pass runs a stack's subnetworks only on the rows its `compact` picks
+from the smoothed embeddings. The feature stack keeps every bin: a batch
+hits nearly all of them, and the monotone transform reads them all. The
+pair stack keeps only the cells the batch touches, each pair's distinct
+cells in grid order, padded with the pair's cell 0 to the largest pair's
+count K: a compact (q, K, d) block in place of the (q, M*M, d) grid.
+`StackPass` holds the block, each row's cells as rows of its tables and
+the map back to the grid; `backward_pass` runs the subnetwork backward on
+the block, and `expand` puts its gradient into a zero grid for the pair
+smoothing, which stays dense. Predict, centering and the exports read
+the dense `bin_tables` and `pair_bin_tables`.
 """
 
 from __future__ import annotations
@@ -168,7 +180,9 @@ def _layers_from(views) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 class _Stack:
-    """What both stacks share; without monotone terms (pairs) `monotone` passes through.
+    """What both stacks share. Without monotone terms (pairs) `monotone`
+    passes through; evaluating every cell (features), so do `compact` and
+    `expand`.
 
     The gate values and their slopes are memoized, keyed by the gate width
     and the contents of `mu` and `active`: a gate that does not move is
@@ -199,6 +213,20 @@ class _Stack:
 
     def monotone_grad(self, d_tabs: np.ndarray, raw: np.ndarray | None, grads: dict) -> np.ndarray:
         return d_tabs
+
+    def compact(self, sm: np.ndarray, cells: np.ndarray) -> tuple:
+        """The smoothed rows a pass runs the subnetwork on: here every row of `sm`, (n, cells, d).
+
+        Returns them, each sample's cell per term (`cells`, (B, n)) as a
+        row of the tables they give flattened to (n * rows, out), in the
+        memory order of `cells`, and the map `expand` reads (None here).
+        """
+        n, C = sm.shape[:2]
+        return sm, cells + np.arange(n) * C, None
+
+    def expand(self, d_sm: np.ndarray, grid) -> np.ndarray:
+        """The gradient of `compact`'s rows on the whole (n, cells, d) grid: `d_sm` itself here."""
+        return d_sm
 
 
 @dataclass
@@ -308,6 +336,39 @@ class PairStack(_Stack):
     def extents(self, feats: FeatureStack) -> list[tuple[int, ...]]:
         """Each pair's true table shape, (n_a + 1, n_b + 1), from its features' bin counts."""
         return [(int(feats.n_bins[a]) + 1, int(feats.n_bins[b]) + 1) for a, b in self.pairs]
+
+    def compact(self, sm: np.ndarray, cells: np.ndarray) -> tuple:
+        """Only the cells the samples index, per pair in grid order, padded
+        with the pair's cell 0 to the largest pair's count K: (q, K, d).
+
+        Also returns each sample's cell per pair as a row of the (q * K,
+        out) tables, in the memory order of `cells`, and the map back to
+        the grid: the touched cells' rows of `sm` flattened to (q * M*M, d)
+        and their rows of the compact (q * K, d) block, both in grid order.
+        """
+        q, C, d = sm.shape
+        grid_cells = cells + np.arange(q) * C
+        hit = np.zeros(q * C, dtype=bool)
+        hit[grid_cells] = True
+        touched = np.flatnonzero(hit)
+        pair = touched // C
+        count = np.bincount(pair, minlength=q)
+        K = int(count.max())
+        slots = np.arange(touched.size) + pair * K - (np.cumsum(count) - count)[pair]
+        rows = np.repeat(np.arange(q) * C, K)
+        rows[slots] = touched
+        at = np.empty(q * C, dtype=np.intp)
+        at[touched] = slots
+        return sm.reshape(q * C, d)[rows].reshape(q, K, d), at[grid_cells], (touched, slots)
+
+    def expand(self, d_sm: np.ndarray, grid) -> np.ndarray:
+        """Put the touched rows of the compact `d_sm`, (q, K, d), into a
+        zero (q, M*M, d) grid; padding rows are dropped."""
+        touched, slots = grid
+        q, _, M, d = self.emb.shape
+        out = np.zeros((q * M * M, d))
+        out[touched] = d_sm.reshape(-1, d)[slots]
+        return out.reshape(q, M * M, d)
 
     def smoothed(
         self, feats: FeatureStack, x: np.ndarray, out: np.ndarray | None = None
@@ -423,24 +484,21 @@ def _mlp_tables(smooth_lhs, weights, activation):
     return raw, hidden
 
 
-def _stack_tables(core: ModelCore, stack):
-    """A stack's ungated tables (n, cells, out), then what backprop reads:
-    the monotone terms' outputs before `monotone` (or None), the hidden
-    layers and the smoothed embeddings."""
-    sm = stack.smoothed(core.feats, stack.emb)
-    tabs, hidden = _mlp_tables(sm, stack.weights, core.activation)
-    raw = stack.monotone(tabs)
-    return tabs, raw, hidden, sm
+def _stack_tables(core: ModelCore, stack) -> np.ndarray:
+    """A stack's ungated tables over every cell, (n, cells, out)."""
+    tabs, _ = _mlp_tables(stack.smoothed(core.feats, stack.emb), stack.weights, core.activation)
+    stack.monotone(tabs)
+    return tabs
 
 
 def bin_tables(core: ModelCore) -> np.ndarray:
     """Ungated per-bin outputs for every feature: (p, M, out)."""
-    return _stack_tables(core, core.feats)[0]
+    return _stack_tables(core, core.feats)
 
 
 def pair_bin_tables(core: ModelCore) -> np.ndarray:
     """Ungated per-cell outputs for every pair: (q, M*M, out); the core must have pairs."""
-    return _stack_tables(core, core.pairs)[0]
+    return _stack_tables(core, core.pairs)
 
 
 def flat_pair_codes(core: ModelCore, codes: np.ndarray) -> np.ndarray | None:
@@ -454,13 +512,19 @@ def flat_pair_codes(core: ModelCore, codes: np.ndarray) -> np.ndarray | None:
 
 @dataclass
 class StackPass:
-    """One stack's part of a forward pass, as `backward_pass` reads it."""
+    """One stack's part of a forward pass, as `backward_pass` reads it.
 
-    cells: np.ndarray  # (B, n) each row's cell per term, as a row of the (n * cells, out) tables
+    The subnetworks ran on the rows `compact` chose: every cell of the
+    feature stack, and only the cells the batch touches of the pair stack,
+    K per pair (the largest pair's count; the others padded).
+    """
+
+    cells: np.ndarray  # (B, n) each row's cell per term, as a row of the (n * K, out) tables
     vals: np.ndarray  # (B, n, out) ungated outputs
-    raw: np.ndarray | None  # (k, cells) the k monotone terms' outputs before the transform, if any
-    hidden: list
-    sm: np.ndarray  # (n, cells, d) smoothed embeddings
+    raw: np.ndarray | None  # (k, K) the k monotone terms' outputs before the transform, if any
+    hidden: list  # (n, K, width) per hidden layer
+    sm: np.ndarray  # (n, K, d) smoothed embeddings of the rows the subnetworks ran on
+    grid: tuple | None  # pairs: (touched cells' rows of the (n * cells) grid, their rows of the K)
     gates: np.ndarray  # (n,) the gate values the pass read
 
 
@@ -496,15 +560,15 @@ def forward_pass(
         cells = given[stack.prefix]
         if cells is None:
             cells = stack.cell_codes(core.feats, codes)
-        tabs, raw, hidden, sm = _stack_tables(core, stack)
-        n, C, out = tabs.shape
-        cells = cells + np.arange(n) * C
+        sm, cells, grid = stack.compact(stack.smoothed(core.feats, stack.emb), cells)
+        tabs, hidden = _mlp_tables(sm, stack.weights, core.activation)
+        raw = stack.monotone(tabs)
         # (B, n, out) in the memory order of `cells` (pair cells are column
         # major), which `take` would not keep: einsum's sums follow it.
-        vals = tabs.reshape(n * C, out)[cells]
+        vals = tabs.reshape(-1, tabs.shape[-1])[cells]
         gates = stack.gates(gamma)
         eta = eta + np.einsum("bto,t->bo", vals, gates)
-        runs[stack.prefix] = StackPass(cells, vals, raw, hidden, sm, gates)
+        runs[stack.prefix] = StackPass(cells, vals, raw, hidden, sm, grid, gates)
     return ForwardCache(eta=eta, stacks=runs)
 
 
@@ -576,7 +640,7 @@ def backward_pass(
             core.activation,
             [(g[f"{pre}_W{l}"], g[f"{pre}_b{l}"]) for l in range(len(stack.weights))],
         )
-        stack.smoothed(core.feats, dsm, out=g[f"{pre}_emb"])
+        stack.smoothed(core.feats, stack.expand(dsm, run.grid), out=g[f"{pre}_emb"])
         if not np.isfinite(flat[start:end]).all():
             name = next(k for k, v in g.items() if not np.isfinite(v).all())
             raise TrainingError(f"non-finite gradient in {name}")

@@ -4,9 +4,9 @@ Each one computes, slowly and directly, something the package computes
 in batches or in fewer passes: the smoothing of one bin or pair cell, the
 monotone transform of one shape, a fitted split's prediction per split,
 the forward pass gathered by (term, cell) index pairs, the gradients of
-a core by central differences and by the per-entry backward pass, the
-sigmoid as a pick between two branches, and the bin edge merge one edge
-per pass.
+a core by central differences and by a dense per-entry backward pass
+over every cell, the sigmoid as a pick between two branches, and the
+bin edge merge one edge per pass.
 """
 
 import numpy as np
@@ -147,37 +147,46 @@ def fd_worst(core, codes, target, reg=0.0, preg=0.0, h=1e-4):
 # --- the per-entry backward pass -------------------------------------------------
 
 
-def backward_reference(core, cache, d_eta, reg_param=0.0, pair_reg_param=0.0):
-    """`backward_pass` computed entry by entry: the gates and their slopes
-    from `smooth_step`, views of the gradient vector by `param_dict` name
-    picked by prefix, the scatter by np.add.at, the monotone and subnetwork
-    backward on copies, and one finiteness check per entry.
+def backward_reference(core, cache, codes, d_eta, reg_param=0.0, pair_reg_param=0.0):
+    """`backward_pass` computed densely and entry by entry: the gates and
+    their slopes from `smooth_step`, views of the gradient vector by
+    `param_dict` name picked by prefix, the scatter by np.add.at into
+    every cell of the tables, the monotone and subnetwork backward on
+    copies, and one finiteness check per entry.
 
-    It reads from the cache only each row's cells, the gathered outputs,
-    the hidden layers and the smoothed embeddings; the outputs before the
-    monotone transform are recomputed from the last hidden layer.
+    It reads from the cache only which stacks ran. Everything else comes
+    from the core and `codes`: each stack's smoothed embeddings and hidden
+    layers over every cell, its outputs from `bin_tables` or
+    `pair_bin_tables`, gathered by (term, cell) index pairs, and the
+    outputs before the monotone transform from the last hidden layer.
     """
     params = param_dict(core)
     grads = {"flat": np.empty(core.flat.size)}
     views = dict(zip(params, flat_views(grads["flat"], [a.shape for a in params.values()])))
     reg = {"feat": reg_param, "pair": pair_reg_param}
+    builds = {"feat": bin_tables, "pair": pair_bin_tables}
     for stack, gamma in core.stacks():
-        run = cache.stacks.get(stack.prefix)
-        if run is None:
+        if stack.prefix not in cache.stacks:
             continue
         pre = stack.prefix
         g = {k: v for k, v in views.items() if k.startswith(pre + "_")}
         grads.update(g)
+        tabs = builds[pre](core)
+        n, cells, out = tabs.shape
+        idx = stack.cell_codes(core.feats, codes)
+        vals = tabs[np.arange(n)[None, :], idx]
         sgrad = smooth_step_grad(stack.mu, gamma) * stack.active
-        d_gate = np.einsum("bo,bto->t", d_eta, run.vals)
+        d_gate = np.einsum("bo,bto->t", d_eta, vals)
         g[f"{pre}_mu"][...] = d_gate * sgrad + reg[pre] * sgrad
         gates = smooth_step(stack.mu, gamma) * stack.active
         d_vals = d_eta[:, None, :] * gates[None, :, None]
-        n, cells, out = run.sm.shape[0], run.sm.shape[1], d_eta.shape[1]
         d_tabs = np.zeros((n * cells, out))
-        np.add.at(d_tabs, run.cells.ravel(), d_vals.reshape(-1, out))
+        np.add.at(d_tabs, (idx + np.arange(n) * cells).ravel(), d_vals.reshape(-1, out))
         d_tabs = d_tabs.reshape(n, cells, out)
-        acts = [run.sm] + run.hidden
+        acts = [stack.smoothed(core.feats, stack.emb)]
+        for W, b in stack.weights[:-1]:
+            h = acts[-1] @ W + b[:, None, :]
+            acts.append(np.maximum(h, 0.0) if core.activation == "relu" else h)
         W, b = stack.weights[-1]
         raw = acts[-1] @ W + b[:, None, :]
         if pre == "feat":

@@ -249,8 +249,7 @@ class TestPairSmoothedEmbedding:
         cfg = KernelConfig(phi=3.0, size=2)
         core = tiny_core(rng, kernel=cfg, pairs=[(0, 1), (2, 1)])
         M = core.feats.padded
-        codes = np.zeros((1, 3), dtype=np.int64)
-        psm = forward_pass(core, codes).stacks["pair"].sm.reshape(2, M, M, -1)
+        psm = core.pairs.smoothed(core.feats, core.pairs.emb).reshape(2, M, M, -1)
         for k, (ja, jb) in enumerate(core.pairs.pairs):
             na, nb = (int(core.feats.n_bins[j]) + 1 for j in (ja, jb))
             emb = core.pairs.emb[k, :na, :nb]
@@ -452,16 +451,28 @@ def test_forward_eta_matches_the_index_pair_gather():
     np.testing.assert_array_equal(_bits(got), _bits(forward_eta(core, codes, cells)))
 
 
-class TestBackwardMatchesReference:
-    """`backward_pass` against the per-entry pass in `oracles`, bit for bit."""
+def _assert_close(got, want, err_msg=""):
+    """Equal within 1e-12 of the array's largest magnitude: the compact pair
+    pass sums a term's cells without the exact zeros of untouched cells."""
+    scale = float(np.max(np.abs(want), initial=0.0))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale, err_msg=err_msg)
 
-    def _check(self, core, cache, d_eta, regs):
-        got = backward_pass(core, cache, d_eta, *regs)
-        want = backward_reference(core, cache, d_eta, *regs)
-        assert list(got) == list(want)
-        for name in got:
-            if name != "flat":
-                np.testing.assert_array_equal(_bits(got[name]), _bits(want[name]), err_msg=name)
+
+def _check_backward(core, cache, codes, d_eta, regs):
+    """`backward_pass` against the dense per-entry pass in `oracles`: the
+    feature stack bit for bit, the pair stack within 1e-12."""
+    got = backward_pass(core, cache, d_eta, *regs)
+    want = backward_reference(core, cache, codes, d_eta, *regs)
+    assert list(got) == list(want)
+    for name in got:
+        if name.startswith("feat_"):
+            np.testing.assert_array_equal(_bits(got[name]), _bits(want[name]), err_msg=name)
+        elif name.startswith("pair_"):
+            _assert_close(got[name], want[name], err_msg=name)
+
+
+class TestBackwardMatchesReference:
+    """`backward_pass` against the dense per-entry pass in `oracles`."""
 
     def test_mains_with_a_monotone_feature(self):
         rng = np.random.default_rng(50)
@@ -470,7 +481,7 @@ class TestBackwardMatchesReference:
         core.feats.mono_off[:] = rng.normal(size=3)
         codes = random_codes(rng, 16, core.feats.n_bins)
         cache = forward_pass(core, codes, compute_pairs=False)
-        self._check(core, cache, rng.normal(size=(16, 1)), (0.0, 0.0))
+        _check_backward(core, cache, codes, rng.normal(size=(16, 1)), (0.0, 0.0))
 
     def test_pairs_on_frozen_mains(self):
         rng = np.random.default_rng(51)
@@ -479,7 +490,7 @@ class TestBackwardMatchesReference:
         codes = random_codes(rng, 16, core.feats.n_bins)
         mains = forward_pass(core, codes, compute_pairs=False).eta
         cache = forward_pass(core, codes, eta_offset=mains, compute_feats=False)
-        self._check(core, cache, rng.normal(size=(16, 2)), (0.0, 0.0))
+        _check_backward(core, cache, codes, rng.normal(size=(16, 2)), (0.0, 0.0))
 
     def test_selection_before_and_after_a_pruned_row(self):
         """Trainable gates, and the same core again after Adam-like in-place
@@ -497,7 +508,7 @@ class TestBackwardMatchesReference:
             if step == 2:
                 core.feats.active[1] = False
                 core.pairs.active[0] = False
-            self._check(core, forward_pass(core, codes), d_eta, (0.07, 0.03))
+            _check_backward(core, forward_pass(core, codes), codes, d_eta, (0.07, 0.03))
 
 
 def _masked_sigmoid(x):
@@ -568,3 +579,93 @@ class TestSigmoid:
         assert s[0] == 0.0 and s[4] == 1.0
         assert s[2] == 0.5
         np.testing.assert_allclose(s[1], 1 / (1 + np.exp(30.0)), rtol=1e-12)
+
+
+def _five_rows(rng):
+    core = tiny_core(rng, n_bins=(5, 3, 4), pairs=[(0, 1), (1, 2)])
+    return core, random_codes(rng, 5, core.feats.n_bins)
+
+
+def _one_cell(rng):
+    core = tiny_core(rng, n_bins=(5, 3, 4), pairs=[(0, 1), (1, 2)])
+    return core, np.repeat(random_codes(rng, 1, core.feats.n_bins), 12, axis=0)
+
+
+def _padded(rng):
+    """Pair (0, 1) spreads over most of its 63 cells; pair (2, 3) sees one cell."""
+    core = tiny_core(rng, n_bins=(8, 6, 3, 3), pairs=[(0, 1), (2, 3)])
+    codes = random_codes(rng, 60, core.feats.n_bins)
+    codes[:, 2:] = [2, 1]
+    return core, codes
+
+
+def _pruned(rng):
+    core = tiny_core(rng, n_bins=(5, 3, 4), pairs=[(0, 1), (0, 2), (1, 2)])
+    core.pairs.active[1] = False
+    return core, random_codes(rng, 20, core.feats.n_bins)
+
+
+def _wide_sigmoid(rng):
+    core = tiny_core(rng, n_bins=(5, 3, 4), out_dim=24, link="sigmoid", pairs=[(0, 1), (0, 2)])
+    return core, random_codes(rng, 16, core.feats.n_bins)
+
+
+def _every_cell(rng):
+    """Every (a, b) cell of every pair, missing bins included, in shuffled order."""
+    core = tiny_core(rng, n_bins=(2, 2, 2), pairs=[(0, 1), (1, 2), (0, 2)])
+    codes = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    return core, rng.permutation(codes)
+
+
+COMPACT_CASES = {
+    "five_rows": _five_rows,
+    "one_cell": _one_cell,
+    "padded": _padded,
+    "pruned": _pruned,
+    "wide_sigmoid": _wide_sigmoid,
+    "every_cell": _every_cell,
+}
+
+
+class TestCompactPairPass:
+    """The pair stack's subnetworks run only on the cells a batch touches;
+    the pass must agree with a dense reference built from the core."""
+
+    @pytest.mark.parametrize("case", sorted(COMPACT_CASES))
+    def test_matches_the_dense_reference(self, case):
+        rng = np.random.default_rng(60)
+        core, codes = COMPACT_CASES[case](rng)
+        d_eta = rng.normal(size=(codes.shape[0], core.out_dim))
+        cache = forward_pass(core, codes)
+        _assert_close(cache.eta, forward_eta(core, codes))
+        _check_backward(core, cache, codes, d_eta, (0.07, 0.03))
+        # The same pair pass on frozen mains, as the pair phase runs it.
+        mains = forward_pass(core, codes, compute_pairs=False).eta
+        pairs = forward_pass(core, codes, eta_offset=mains, compute_feats=False)
+        _assert_close(pairs.eta, forward_eta(core, codes))
+        _check_backward(core, pairs, codes, d_eta, (0.0, 0.0))
+
+    @pytest.mark.parametrize("case", sorted(COMPACT_CASES))
+    def test_each_pair_runs_only_on_its_distinct_cells(self, case, monkeypatch):
+        import namlite.core as core_mod
+
+        core, codes = COMPACT_CASES[case](np.random.default_rng(61))
+        ran = []
+        real = core_mod._mlp_tables
+
+        def recording(sm, weights, activation):
+            ran.append(sm.shape)
+            return real(sm, weights, activation)
+
+        monkeypatch.setattr(core_mod, "_mlp_tables", recording)
+        run = forward_pass(core, codes, compute_feats=False).stacks["pair"]
+        cells = flat_pair_codes(core, codes)
+        distinct = [np.unique(cells[:, t]) for t in range(core.pairs.n_pairs)]
+        K = max(d.size for d in distinct)
+        assert ran == [(core.pairs.n_pairs, K, core.pairs.emb.shape[-1])]
+        touched, slots = run.grid
+        C = core.feats.padded ** 2
+        for t, d in enumerate(distinct):
+            mine = (slots >= t * K) & (slots < (t + 1) * K)
+            np.testing.assert_array_equal(touched[mine], d + t * C)
+            np.testing.assert_array_equal(slots[mine], t * K + np.arange(d.size))
