@@ -524,7 +524,7 @@ class StackPass:
     raw: np.ndarray | None  # (k, K) the k monotone terms' outputs before the transform, if any
     hidden: list  # (n, K, width) per hidden layer
     sm: np.ndarray  # (n, K, d) smoothed embeddings of the rows the subnetworks ran on
-    grid: tuple | None  # pairs: (touched cells' rows of the (n * cells) grid, their rows of the K)
+    grid: tuple | None  # pairs: (touched cells' rows of the (n * cells) grid, their (n * K) rows)
     gates: np.ndarray  # (n,) the gate values the pass read
 
 
